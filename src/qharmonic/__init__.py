@@ -17,8 +17,6 @@ from .exactq import (
     q_factorial,
     q_integer,
     q_power,
-    qrat_eval,
-    qrat_normalize,
 )
 from .harmonic import (
     QSeq,
@@ -35,12 +33,9 @@ from .harmonic import (
 )
 from .multiindex import (
     MultiIndex,
-    dual,
     enumerate_by_weight,
-    minus_reduce,
     parse_multiindex,
     subset_decode,
-    subset_encode,
 )
 from .qseries import (
     BiSeries,

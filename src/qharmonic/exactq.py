@@ -8,6 +8,11 @@ binomial coefficients.
 All values are immutable and kept in a canonical form — polynomials carry no
 trailing zero coefficients, rational functions are gcd-reduced with a monic
 denominator — so structural equality decides equality in Q(q).
+
+The arithmetic runs over Z: a polynomial is stored as integer numerators over
+one positive common denominator, and a rational function is reduced with the
+heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, 1989), which falls back to
+the primitive remainder sequence when the heuristic is unlucky.
 """
 
 from __future__ import annotations
@@ -56,18 +61,22 @@ def _format_terms(coeffs: tuple[Fraction, ...]) -> str:
 class QPoly:
     """Dense univariate polynomial in q over the rationals.
 
-    ``coeffs[i]`` holds the coefficient of q**i.  Trailing zeros are stripped,
-    so the zero polynomial has an empty coefficient tuple and ``degree`` None.
+    Stored as integer numerators over one positive common denominator that
+    shares no factor with all of them: ``(1/den) * sum(nums[i] q**i)``.  That
+    form is unique, so equality compares (nums, den).  ``coeffs[i]`` is the
+    rational coefficient of q**i, built on first use.  Trailing zeros are
+    stripped, so the zero polynomial has no coefficients and ``degree`` None.
     """
 
-    __slots__ = ("_coeffs", "_intform")
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._intform: tuple[list[int], int] | None = None
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self._nums, self._den, self._coeffs = tuple(nums), den if nums else 1, None
 
     @classmethod
     def zero(cls) -> QPoly:
@@ -94,55 +103,58 @@ class QPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(n, self._den) for n in self._nums)
         return self._coeffs
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (never a number)."""
-        return len(self._coeffs) - 1 if self._coeffs else None
+        return len(self._nums) - 1 if self._nums else None
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._nums):
+            return Fraction(self._nums[power], self._den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QPoly):
-            return self._coeffs == other._coeffs
+            return self._nums == other._nums and self._den == other._den
         if isinstance(other, (int, Fraction)):
-            return self == QPoly.constant(other)
+            return self == _as_poly(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("QPoly", self._coeffs))
+        return hash(("QPoly", self._nums, self._den))
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-c for c in self._coeffs))
+        return _poly([-c for c in self._nums], self._den)
 
     def __add__(self, other: QPoly | Scalar) -> QPoly:
         if not isinstance(other, (QPoly, int, Fraction)):
             return NotImplemented
         other = _as_poly(other)
-        a, b = self._coeffs, other._coeffs
+        a, b, den = self._nums, other._nums, self._den
+        if den != other._den:
+            g = math.gcd(den, other._den)
+            fa, fb = other._den // g, den // g
+            a, b, den = [c * fa for c in a], [c * fb for c in b], den * fa
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return _reduced([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     __radd__ = __add__
 
@@ -156,36 +168,22 @@ class QPoly:
             return NotImplemented
         return _as_poly(other) + (-self)
 
-    def _int_form(self) -> tuple[list[int], int]:
-        # Common-denominator view: self == (1/den) * sum(nums[i] q^i).
-        if self._intform is None:
-            den = 1
-            for c in self._coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            nums = [c.numerator * (den // c.denominator) for c in self._coeffs]
-            self._intform = (nums, den)
-        return self._intform
-
     def __mul__(self, other: QPoly | Scalar) -> QPoly:
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return QPoly()
-            f = Fraction(other)
-            return QPoly(tuple(c * f for c in self._coeffs))
-        if not isinstance(other, QPoly):
+            other = _as_poly(other)
+        elif not isinstance(other, QPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return QPoly()
-        # Convolve over Z for speed, then divide the common denominator back out.
-        a, da = self._int_form()
-        b, db = other._int_form()
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return _poly((), 1)
+        if len(a) > len(b):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        d = da * db
-        return QPoly(tuple(Fraction(n, d) for n in out))
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return _reduced(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -205,7 +203,7 @@ class QPoly:
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
+        rem = list(self.coeffs)
         db = other.degree
         lb = other.leading_coefficient
         quo = [Fraction(0)] * max(len(rem) - db, 0)
@@ -213,7 +211,7 @@ class QPoly:
             factor = rem[-1] / lb
             shift = len(rem) - 1 - db
             quo[shift] = factor
-            for i, c in enumerate(other._coeffs):
+            for i, c in enumerate(other.coeffs):
                 rem[shift + i] -= factor * c
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -242,41 +240,47 @@ class QPoly:
         """Exact value at q = q0 (Horner)."""
         q0 = Fraction(q0)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self._nums):
             acc = acc * q0 + c
-        return acc
+        return acc / self._den
 
     def __str__(self) -> str:
-        return _format_terms(self._coeffs)
+        return _format_terms(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"QPoly({list(self._coeffs)!r})"
+        return f"QPoly({list(self.coeffs)!r})"
+
+
+def _poly(nums: Iterable[int], den: int) -> QPoly:
+    # (1/den) * nums, already canonical: no trailing zero, den > 0 and in lowest terms.
+    p = object.__new__(QPoly)
+    p._nums, p._den, p._coeffs = tuple(nums), den, None
+    return p
+
+
+def _reduced(nums: list[int], den: int) -> QPoly:
+    # (1/den) * nums for any den > 0: strip trailing zeros, cancel the common factor.
+    while nums and not nums[-1]:
+        nums.pop()
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    return _poly(nums, den)
 
 
 def _as_poly(x: QPoly | Scalar) -> QPoly:
     if isinstance(x, QPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return QPoly.constant(x)
+        return _poly((x.numerator,) if x else (), x.denominator)
     raise TypeError(f"cannot interpret {x!r} as a polynomial in q")
 
 
-def _int_primitive(v: list[int]) -> list[int]:
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-    if g == 0:
-        return []
-    if v[-1] < 0:
-        g = -g
-    return [c // g for c in v]
-
-
-def _int_split(v: list[int]) -> tuple[list[int], int]:
+def _int_primitive(v: Iterable[int]) -> tuple[list[int], int]:
     # v = cont * prim with prim having content 1 and positive leading coefficient.
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
+    v = list(v)
+    g = math.gcd(*v)
     if g == 0:
         return [], 0
     if v[-1] < 0:
@@ -284,38 +288,22 @@ def _int_split(v: list[int]) -> tuple[list[int], int]:
     return [c // g for c in v], g
 
 
-def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
-    # Exact division in Z[q]; valid whenever b is primitive and divides a in Q[q].
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    quo = [0] * max(len(r) - db, 0)
-    while r and len(r) - 1 >= db:
-        lead, rem = divmod(r[-1], lb)
+def _int_divide(a: list[int], b: list[int]) -> list[int] | None:
+    # Quotient a / b in Z[q] when b divides a exactly, else None.  For primitive b
+    # this decides divisibility in Q[q] too (Gauss's lemma).
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    if len(r) <= db:
+        return None if r else []
+    quo = [0] * (len(r) - db)
+    for shift in range(len(r) - 1 - db, -1, -1):
+        lead, rem = divmod(r[shift + db], lb)
         if rem:
-            raise InexactDivisionError("integer polynomial division is not exact")
-        shift = len(r) - 1 - db
-        quo[shift] = lead
-        for i, bc in enumerate(b):
-            r[shift + i] -= lead * bc
-        while r and r[-1] == 0:
-            r.pop()
-    if r:
-        raise InexactDivisionError("integer polynomial division left a remainder")
-    return quo
-
-
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    # Primitive remainder sequence; result is primitive with positive lead.
-    u = _int_primitive(list(a))
-    v = _int_primitive(list(b))
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        u, v = v, _int_primitive(_int_prem(u, v))
-    return u
+            return None
+        if lead:
+            quo[shift] = lead
+            for i, bc in enumerate(b, shift):
+                r[i] -= lead * bc
+    return None if any(r[:db]) else quo
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -334,13 +322,68 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _int_prs_gcd(u: list[int], v: list[int]) -> list[int]:
+    # Primitive remainder sequence on primitive u, v; the result is primitive
+    # with positive lead.
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        u, v = v, _int_primitive(_int_prem(u, v))[0]
+    return u
+
+
+def _int_eval(u: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(u):
+        acc = acc * x + c
+    return acc
+
+
+_HEU_TRIES = 6
+
+
+def _int_gcd(u: list[int], v: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, u/h, v/h) with h = gcd(u, v), for primitive u, v with positive leads.
+
+    GCDHEU: evaluate at an integer xi, take the integer gcd of the values and
+    read a candidate off its balanced base-xi digits.  For xi >= 2 min(|u|, |v|)
+    + 2 (max norms) a candidate whose primitive part divides both operands is
+    the gcd, and the verifying divisions give the cofactors.  A rejected
+    candidate retries at a larger xi; after _HEU_TRIES rejections the primitive
+    remainder sequence decides.
+    """
+    if len(u) == 1 or len(v) == 1:
+        return [1], u, v
+    xi = 2 * min(max(map(abs, u)), max(map(abs, v))) + 29
+    for _ in range(_HEU_TRIES):
+        eu, ev = _int_eval(u, xi), _int_eval(v, xi)
+        if eu and ev:
+            gamma, digits = math.gcd(eu, ev), []
+            while gamma:
+                d = gamma % xi
+                if d > xi // 2:
+                    d -= xi
+                digits.append(d)
+                gamma = (gamma - d) // xi
+            h = _int_primitive(digits)[0]
+            cu = _int_divide(u, h)
+            cv = None if cu is None else _int_divide(v, h)
+            if cv is not None:
+                return h, cu, cv
+        # grow xi by about 2.73 * xi^(1/4), the step of sympy's dup_zz_heu_gcd
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    h = _int_prs_gcd(u, v)
+    return h, _int_divide(u, h), _int_divide(v, h)
+
+
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd in Q[q], via the primitive remainder sequence over Z."""
+    """Monic gcd in Q[q], via the heuristic integer gcd over Z."""
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    return QPoly(_int_gcd(a._int_form()[0], b._int_form()[0])).monic()
+    g = _int_gcd(_int_primitive(a._nums)[0], _int_primitive(b._nums)[0])[0]
+    return _poly(g, g[-1])
 
 
 @functools.cache
@@ -392,28 +435,19 @@ class QRat:
         den = _as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        if num.is_zero:
-            self._num, self._den = QPoly.zero(), QPoly.one()
-            return
-        if den.degree == 0:
-            lc = den.leading_coefficient
-            self._num = num if lc == 1 else num * (Fraction(1) / lc)
-            self._den = QPoly.one()
-            return
-        # Reduce entirely over Z: split both sides into content * primitive part,
-        # cancel the primitive gcd, and fold contents into one scalar.
-        n_ints, n_den = num._int_form()
-        d_ints, d_den = den._int_form()
-        n_prim, n_cont = _int_split(n_ints)
-        d_prim, d_cont = _int_split(d_ints)
-        g = _int_gcd(n_prim, d_prim)
-        if len(g) > 1:
-            n_prim = _int_exact_div(n_prim, g)
-            d_prim = _int_exact_div(d_prim, g)
-        lead = d_prim[-1]
-        scalar = Fraction(n_cont * d_den, d_cont * n_den * lead)
-        self._num = QPoly(tuple(scalar * c for c in n_prim))
-        self._den = QPoly(tuple(Fraction(c, lead) for c in d_prim))
+        # num/den = (n_cont * n_prim / n_den) / (d_cont * d_prim / d_den): reduce over
+        # Z by cancelling the gcd of the primitive parts and folding the rest into
+        # one scalar on the numerator.
+        n_prim, n_cont = _int_primitive(num._nums)
+        d_prim, d_cont = _int_primitive(den._nums)
+        if n_cont and len(d_prim) > 1:
+            _, n_prim, d_prim = _int_gcd(n_prim, d_prim)
+        p, r = n_cont * den._den, d_cont * num._den * d_prim[-1]
+        if r < 0:
+            p, r = -p, -r
+        g = math.gcd(p, r)
+        self._num = _poly([c * (p // g) for c in n_prim], r // g)
+        self._den = _poly(d_prim, d_prim[-1]) if n_cont else QPoly.one()
 
     @property
     def num(self) -> QPoly:
@@ -437,7 +471,7 @@ class QRat:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(("QRat", self._num.coeffs, self._den.coeffs))
+        return hash(("QRat", self._num, self._den))
 
     def __neg__(self) -> QRat:
         return QRat(-self._num, self._den)
@@ -446,6 +480,8 @@ class QRat:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
+        if other.is_zero or self.is_zero:
+            return other if self.is_zero else self
         return QRat(self._num * other._den + other._num * self._den,
                     self._den * other._den)
 
@@ -519,16 +555,6 @@ def _require_rat(x: QRat | QPoly | Scalar) -> QRat:
     if r is None:
         raise TypeError(f"cannot interpret {x!r} as an element of Q(q)")
     return r
-
-
-def qrat_normalize(num: QPoly | Scalar, den: QPoly | Scalar) -> QRat:
-    """Canonical reduced form of num/den (gcd removed, den monic)."""
-    return QRat(num, den)
-
-
-def qrat_eval(x: QRat, q0: Scalar) -> Fraction:
-    """Exact value of x at q = q0; PoleError if the denominator vanishes."""
-    return x.evaluate(q0)
 
 
 @functools.cache

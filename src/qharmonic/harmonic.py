@@ -86,33 +86,25 @@ def _a_weight(part: int, x: int) -> QRat:
     return QRat(QPoly.monomial(1, (part - 1) * (x + 1)), q_integer(x + 1) ** part)
 
 
-def _b_weight(part: int, x: int, first: bool) -> QRat:
-    num = QPoly.one() if first else QPoly.monomial(1, x + 1)
-    return QRat(num, q_integer(x + 1) ** part)
+def _b_weight(part: int, x: int) -> QRat:
+    # q^(x+1) / [x+1]^part: the weight of every b-block but the first
+    return QRat(QPoly.monomial(1, x + 1), q_integer(x + 1) ** part)
 
 
 @functools.cache
-def _a_suffix(mu: MultiIndex, t: int, v: int) -> QRat:
-    # Sum over chains v >= n_t >= ... >= n_p >= 0 of the a-weights of blocks t..p.
+def _suffix(weight: Callable[[int, int], QRat], mu: MultiIndex, t: int, v: int) -> QRat:
+    # Sum over chains v >= n_t >= ... >= n_p >= 0 of the weights of blocks t..p.
     if v < 0:
         return QRAT_ZERO
-    inner = _a_suffix(mu, t + 1, v) if t + 1 < len(mu) else QRAT_ONE
-    return _a_suffix(mu, t, v - 1) + _a_weight(mu[t], v) * inner
-
-
-@functools.cache
-def _b_suffix(mu: MultiIndex, t: int, v: int) -> QRat:
-    if v < 0:
-        return QRAT_ZERO
-    inner = _b_suffix(mu, t + 1, v) if t + 1 < len(mu) else QRAT_ONE
-    return _b_suffix(mu, t, v - 1) + _b_weight(mu[t], v, first=False) * inner
+    inner = _suffix(weight, mu, t + 1, v) if t + 1 < len(mu) else QRAT_ONE
+    return _suffix(weight, mu, t, v - 1) + weight(mu[t], v) * inner
 
 
 @functools.cache
 def a_value(mu: MultiIndex, n: int) -> QRat:
     """The finite multiple harmonic q-sum a_mu(n), exact in Q(q)."""
     mu = MultiIndex(mu)
-    inner = _a_suffix(mu, 1, n) if len(mu) > 1 else QRAT_ONE
+    inner = _suffix(_a_weight, mu, 1, n) if len(mu) > 1 else QRAT_ONE
     return _a_weight(mu[0], n) * inner
 
 
@@ -120,8 +112,8 @@ def a_value(mu: MultiIndex, n: int) -> QRat:
 def b_value(mu: MultiIndex, n: int) -> QRat:
     """The companion sum b_mu(n), whose numerator shifts live on the inner blocks."""
     mu = MultiIndex(mu)
-    inner = _b_suffix(mu, 1, n) if len(mu) > 1 else QRAT_ONE
-    return _b_weight(mu[0], n, first=True) * inner
+    inner = _suffix(_b_weight, mu, 1, n) if len(mu) > 1 else QRAT_ONE
+    return QRat(QPoly.one(), q_integer(n + 1) ** mu[0]) * inner
 
 
 def a_seq(mu: MultiIndex) -> QSeq:
@@ -154,24 +146,13 @@ def _c_suffix(mu: MultiIndex, nu: MultiIndex, t: int, a: int, b: int) -> QRat:
         return factor
     di = i[t + 1] - i[t]
     dj = j[t + 1] - j[t]
-    if di == 0 and dj == 0:
-        inner = _c_suffix(mu, nu, t + 1, a, b)
-    elif di == 1 and dj == 0:
-        part = mu[i[t + 1] - 1]
-        inner = QRAT_ZERO
-        for a2 in range(a + 1):
-            inner = inner + q_power((part - 1) * (a2 + 1)) * _c_suffix(mu, nu, t + 1, a2, b)
-    elif di == 0 and dj == 1:
-        inner = QRAT_ZERO
-        for b2 in range(b + 1):
-            inner = inner + q_power(b2) * _c_suffix(mu, nu, t + 1, a, b2)
-    else:
-        part = mu[i[t + 1] - 1]
-        inner = QRAT_ZERO
-        for a2 in range(a + 1):
-            for b2 in range(b + 1):
-                inner = inner + (q_power((part - 1) * (a2 + 1) + b2)
-                                 * _c_suffix(mu, nu, t + 1, a2, b2))
+    part = mu[i[t + 1] - 1] - 1 if di else 0
+    inner = QRAT_ZERO
+    for a2 in range(a + 1) if di else (a,):
+        for b2 in range(b + 1) if dj else (b,):
+            term = _c_suffix(mu, nu, t + 1, a2, b2)
+            e = part * (a2 + 1) + b2 * dj
+            inner = inner + (q_power(e) * term if e else term)
     return factor * inner
 
 

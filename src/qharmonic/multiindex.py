@@ -63,10 +63,6 @@ class MultiIndex(tuple):
         return f"MultiIndex({', '.join(str(p) for p in self)})"
 
 
-def subset_encode(mu: MultiIndex) -> frozenset[int]:
-    return mu.subset_encode()
-
-
 def subset_decode(m: int, subset: Iterable[int]) -> MultiIndex:
     """The unique multi-index of weight m whose partial-sum set is `subset`."""
     if m < 1:
@@ -76,14 +72,6 @@ def subset_decode(m: int, subset: Iterable[int]) -> MultiIndex:
         raise ValueError(f"subset elements must lie in 1..{m - 1}: {cuts}")
     bounds = [0] + cuts + [m]
     return MultiIndex(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
-
-
-def dual(mu: MultiIndex) -> MultiIndex:
-    return mu.dual()
-
-
-def minus_reduce(mu: MultiIndex) -> MultiIndex:
-    return mu.minus_reduce()
 
 
 def enumerate_by_weight(m: int) -> list[MultiIndex]:

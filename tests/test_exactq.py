@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qharmonic import exactq
 from qharmonic.exactq import (
     InexactDivisionError,
     PoleError,
@@ -22,8 +23,6 @@ from qharmonic.exactq import (
     q_factorial,
     q_integer,
     q_power,
-    qrat_eval,
-    qrat_normalize,
 )
 
 
@@ -128,29 +127,29 @@ class TestQPrimitives:
 
 class TestQRat:
     def test_normalize_gcd_cancellation(self):
-        r = qrat_normalize(QPoly((-1, 0, 1)), QPoly((-1, 1)))
+        r = QRat(QPoly((-1, 0, 1)), QPoly((-1, 1)))
         assert r == QRat(QPoly((1, 1)))
         assert r.den == QPoly((1,))
 
     def test_normalize_content_and_monic(self):
-        assert qrat_normalize(QPoly((0, 2)), QPoly((2,))) == QRat(QPoly.variable())
+        assert QRat(QPoly((0, 2)), QPoly((2,))) == QRat(QPoly.variable())
 
     def test_normalize_monic_denominator(self):
-        r = qrat_normalize(QPoly((1, 0, 0, -1)), QPoly((1, -1)) ** 2)
+        r = QRat(QPoly((1, 0, 0, -1)), QPoly((1, -1)) ** 2)
         assert r.num == QPoly((-1, -1, -1))
         assert r.den == QPoly((-1, 1))
         assert r.den.leading_coefficient == 1
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            qrat_normalize(QPoly((1,)), QPoly())
+            QRat(QPoly((1,)), QPoly())
 
     def test_eval_examples(self):
-        assert qrat_eval(QRat(QPoly.variable()), Fraction(2, 3)) == Fraction(2, 3)
+        assert QRat(QPoly.variable()).evaluate(Fraction(2, 3)) == Fraction(2, 3)
         x = QRat(QPoly.one(), QPoly((1, 1)))
-        assert qrat_eval(x, 1) == Fraction(1, 2)
+        assert x.evaluate(1) == Fraction(1, 2)
         with pytest.raises(PoleError):
-            qrat_eval(x, -1)
+            x.evaluate(-1)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -222,3 +221,171 @@ def test_poly_gcd_against_fraction_euclid():
         if not common.is_zero:
             a, b = a * common, b * common
         assert poly_gcd(a, b) == _fraction_euclid_gcd(a, b)
+
+
+# --- differential tests of the integer kernel ---------------------------------
+
+
+def _ref_strip(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_strip([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                       for i in range(n)])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_strip(out)
+
+
+def _random_fracs(rng, max_len=7):
+    return _ref_strip(Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+                      for _ in range(rng.randint(0, max_len)))
+
+
+def _assert_canonical(p: QPoly):
+    nums, den = p._nums, p._den
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert not nums or nums[-1] != 0
+    assert nums or den == 1
+    assert p.coeffs == tuple(Fraction(n, den) for n in nums)
+
+
+def test_qpoly_ops_against_fraction_reference():
+    rng = random.Random(2027)
+    for _ in range(300):
+        a, b = _random_fracs(rng), _random_fracs(rng)
+        pa, pb = QPoly(a), QPoly(b)
+        assert pa.coeffs == a and pb.coeffs == b
+        s = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        k = rng.randint(-9, 9)
+        cases = [
+            (pa + pb, _ref_add(a, b)),
+            (pa - pb, _ref_add(a, [-c for c in b])),
+            (pa * pb, _ref_mul(a, b)),
+            (-pa, _ref_strip(-c for c in a)),
+            (pa * s, _ref_strip(c * s for c in a)),
+            (k * pa, _ref_strip(c * k for c in a)),
+            (pa + s, _ref_add(a, (s,))),
+        ]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert got.coeffs == want
+            assert got == QPoly(want) and hash(got) == hash(QPoly(want))
+
+
+def _prim(cs):
+    return exactq._int_primitive(cs)[0]
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _planted_pairs(seed, count):
+    # Primitive pairs u = prim(f*a), v = prim(f*b) sharing the planted factor f.
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        bound = rng.choice((3, 50, 2 ** 20))
+        f, a, b = ([rng.randint(-bound, bound) for _ in range(rng.randint(1, 6))] + [1]
+                   for _ in range(3))
+        pairs.append((_prim(_int_mul(f, a)), _prim(_int_mul(f, b))))
+    return pairs
+
+
+def _check_gcd(u, v):
+    h, cu, cv = exactq._int_gcd(u, v)
+    assert h == exactq._int_prs_gcd(u, v)
+    assert _int_mul(h, cu) == u and _int_mul(h, cv) == v
+    return h
+
+
+def _record_xis(monkeypatch):
+    # Every evaluation point the heuristic tries, in order.
+    seen = []
+    original = exactq._int_eval
+
+    def recording(u, x):
+        seen.append(x)
+        return original(u, x)
+
+    monkeypatch.setattr(exactq, "_int_eval", recording)
+    return seen
+
+
+def test_int_gcd_against_remainder_sequence(monkeypatch):
+    xis = _record_xis(monkeypatch)
+    for u, v in _planted_pairs(31, 200):
+        xis.clear()
+        _check_gcd(u, v)
+        if xis:
+            bound = 2 * min(max(map(abs, u)), max(map(abs, v))) + 2
+            assert xis[0] >= bound
+
+
+def test_int_gcd_retries_after_unlucky_point(monkeypatch):
+    # u = f*q and v = f*(q + xi0) agree at q = xi0 up to the factor 2, so the
+    # first candidate is f*q, which does not divide v: the heuristic must retry.
+    xis = _record_xis(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(20):
+        # positive coefficients: no cancellation, so |v| >= |u| and xi0 depends on u alone
+        f = _prim([rng.randint(1, 40) for _ in range(rng.randint(1, 5))])
+        u = _prim(_int_mul(f, [0, 1]))
+        xis.clear()
+        exactq._int_gcd(u, _prim(_int_mul(f, [10 ** 6, 1])))
+        xi0 = xis[0]
+        v = _prim(_int_mul(f, [xi0, 1]))
+        xis.clear()
+        h = _check_gcd(u, v)
+        assert xis[0] == xi0 and len(set(xis)) > 1
+        assert h == _prim(f)
+
+
+def test_int_gcd_fallback_path(monkeypatch):
+    monkeypatch.setattr(exactq, "_HEU_TRIES", 0)
+    xis = _record_xis(monkeypatch)
+    for u, v in _planted_pairs(32, 60):
+        _check_gcd(u, v)
+    assert xis == []
+
+
+def test_int_gcd_and_cancel_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(cs):
+        return sympy.Poly(list(reversed(cs)), x, domain="QQ")
+
+    def from_sympy(poly, scale):
+        return tuple(Fraction(str(c / scale)) for c in reversed(poly.all_coeffs()))
+
+    rng = random.Random(34)
+    for u, v in _planted_pairs(33, 80):
+        h = exactq._int_gcd(u, v)[0]
+        assert from_sympy(to_sympy(u).gcd(to_sympy(v)), 1) == tuple(h)
+        # canonical QRat of (s*u)/(t*v) against sympy.cancel, denominator made monic
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        t = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        num, den = (QPoly([s * c for c in u]), QPoly([t * c for c in v]))
+        expr = sympy.cancel(to_sympy(num.coeffs).as_expr() / to_sympy(den.coeffs).as_expr())
+        want_num, want_den = (sympy.Poly(e, x, domain="QQ") for e in sympy.fraction(expr))
+        r = QRat(num, den)
+        assert r.num.coeffs == from_sympy(want_num, want_den.LC())
+        assert r.den.coeffs == from_sympy(want_den, want_den.LC())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qharmonic import direct
-from qharmonic.exactq import PoleError, QPoly, QRat, qrat_eval
+from qharmonic.exactq import PoleError, QPoly, QRat
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
 from qharmonic.verify import (
@@ -97,7 +98,7 @@ class TestRecordsAndWitnesses:
         for _ in range(3):
             q0 = Fraction(rng.randint(2, 30), rng.randint(31, 60))
             try:
-                values.append(qrat_eval(diff, q0))
+                values.append(diff.evaluate(q0))
             except PoleError:
                 continue
         assert any(v != 0 for v in values)
@@ -155,12 +156,12 @@ class TestEvalCrosscheck:
         for parts, n, k in (((1,), 2, 2), ((2,), 1, 1), ((1, 2), 2, 1)):
             mu = MultiIndex(parts)
             q0 = Fraction(3, 7)
-            assert direct.a_at(mu, n, q0) == qrat_eval(a_value(mu, n), q0)
-            assert direct.b_at(mu, n, q0) == qrat_eval(b_value(mu, n), q0)
-            assert direct.c_at(mu, mu.dual(), n, k, q0) == qrat_eval(
-                c_value(mu, mu.dual(), n, k), q0)
-            assert direct.delta_closed_a_at(mu, n, k, q0) == qrat_eval(
-                delta_qk_closed(a_seq(mu), n, k), q0)
+            assert direct.a_at(mu, n, q0) == a_value(mu, n).evaluate(q0)
+            assert direct.b_at(mu, n, q0) == b_value(mu, n).evaluate(q0)
+            assert direct.c_at(mu, mu.dual(), n, k, q0) == c_value(
+                mu, mu.dual(), n, k).evaluate(q0)
+            assert direct.delta_closed_a_at(mu, n, k, q0) == delta_qk_closed(
+                a_seq(mu), n, k).evaluate(q0)
 
 
 class TestCampaign:
@@ -216,6 +217,16 @@ class TestCampaign:
         one = run_campaign(cfg).to_json(include_timing=False)
         two = run_campaign(cfg).to_json(include_timing=False)
         assert one == two
+
+    def test_golden_report_digest(self):
+        # Pins every canonical value of a small campaign over all families:
+        # a change to the arithmetic kernel must leave this report byte-identical.
+        cfg = CampaignConfig(max_weight=3, max_n=2, max_k=2, series_orders=3,
+                             series_max_weight=2)
+        rep = run_campaign(cfg)
+        assert rep.counts == {"total": 304, "pass": 304, "fail": 0, "skip": 0}
+        digest = hashlib.sha256(rep.to_json(include_timing=False).encode()).hexdigest()
+        assert digest == "2c487ac9bd77dabd402aeee1e730f28e5d2a2bce813304d7a8cd1e69cbf3cb13"
 
 
 def test_enumeration_order_is_stable():
