@@ -80,7 +80,6 @@ from .verify import (
     verify_duality,
     verify_inductive_relations,
     verify_main_identity,
-    verify_series_suite,
 )
 
 __version__ = "0.1.0"

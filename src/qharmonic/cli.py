@@ -4,8 +4,12 @@ Subcommands:
   dual <mu>                        print the dual multi-index
   compute {a|b} <mu> <n>           print a canonical value in Q(q)
   compute c <mu> <nu> <n> <k>      same for the double-chain sum
-  verify {main|duality|prop340|series}   run one identity family
-  campaign [--config F] [--json F]       run a full campaign
+  verify TOKEN... [flags]          a campaign restricted to those identities
+  campaign [--config F] [--json F] run a full campaign
+
+`verify` flags set CampaignConfig fields: --max-weight sets max_weight and
+series_max_weight, --orders sets series_orders, --max-n and --max-k set max_n
+and max_k; every other field keeps the CampaignConfig default.
 
 `verify` and `campaign` exit 0 exactly when nothing failed.
 """
@@ -14,22 +18,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from .exactq import QRat
 from .harmonic import a_value, b_value, c_value
-from .multiindex import enumerate_by_weight, parse_multiindex
+from .multiindex import parse_multiindex
 from .verify import (
+    IDENTITY_TOKENS,
     CampaignConfig,
     VerificationReport,
     parse_config_text,
     run_campaign,
-    verify_duality,
-    verify_inductive_relations,
-    verify_main_identity,
-    verify_series_suite,
-    _admissible_pairs,
 )
 
 
@@ -49,12 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--at", metavar="Q0", default=None,
                         help="also evaluate exactly at q = Q0 (e.g. 2/3)")
 
-    p_ver = sub.add_parser("verify", help="run one identity family")
-    p_ver.add_argument("family", choices=("main", "duality", "prop340", "series"))
-    p_ver.add_argument("--max-weight", type=int, default=None)
-    p_ver.add_argument("--max-n", type=int, default=4)
+    p_ver = sub.add_parser("verify", help="run a campaign restricted to some identities")
+    p_ver.add_argument("identities", nargs="+", choices=IDENTITY_TOKENS, metavar="TOKEN",
+                       help="one or more of: " + ", ".join(IDENTITY_TOKENS))
+    p_ver.add_argument("--max-weight", type=int, default=None,
+                       help="max_weight and series_max_weight")
+    p_ver.add_argument("--max-n", type=int, default=None)
     p_ver.add_argument("--max-k", type=int, default=None)
-    p_ver.add_argument("--orders", type=int, default=None)
+    p_ver.add_argument("--orders", type=int, default=None, help="series_orders")
 
     p_camp = sub.add_parser("campaign", help="run a full verification campaign")
     p_camp.add_argument("--config", metavar="PATH", default=None,
@@ -101,33 +104,11 @@ def _print_outcome(report: VerificationReport) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = VerificationReport()
-    if args.family == "main":
-        max_weight = args.max_weight if args.max_weight is not None else 5
-        max_k = args.max_k if args.max_k is not None else 4
-        for w in range(1, max_weight + 1):
-            for mu in enumerate_by_weight(w):
-                report.extend(verify_main_identity(mu, args.max_n, max_k).records)
-    elif args.family == "duality":
-        max_weight = args.max_weight if args.max_weight is not None else 6
-        max_k = args.max_k if args.max_k is not None else 6
-        for w in range(1, max_weight + 1):
-            for mu in enumerate_by_weight(w):
-                report.extend(verify_duality(mu, max_k).records)
-    elif args.family == "prop340":
-        max_weight = args.max_weight if args.max_weight is not None else 4
-        max_k = args.max_k if args.max_k is not None else 4
-        orders = args.orders if args.orders is not None else 5
-        for w in range(2, max_weight + 1):
-            for mu, nu in _admissible_pairs(w):
-                report.extend(verify_inductive_relations(
-                    mu, nu, args.max_n, max_k, orders).records)
-    else:  # series
-        config = CampaignConfig(
-            series_max_weight=args.max_weight if args.max_weight is not None else 4,
-            series_orders=args.orders if args.orders is not None else 6)
-        report = verify_series_suite(config)
-    return _print_outcome(report)
+    flags = {"max_weight": args.max_weight, "series_max_weight": args.max_weight,
+             "max_n": args.max_n, "max_k": args.max_k, "series_orders": args.orders}
+    config = replace(CampaignConfig(), identities=tuple(args.identities),
+                     **{key: val for key, val in flags.items() if val is not None})
+    return _print_outcome(run_campaign(config))
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:

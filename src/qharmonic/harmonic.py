@@ -79,6 +79,12 @@ class QSeq:
         return cls(lambda n: v)
 
 
+def _require_nonnegative(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 # --- the a and b families ---------------------------------------------------
 
 def _a_weight(part: int, x: int) -> QRat:
@@ -104,6 +110,7 @@ def _suffix(weight: Callable[[int, int], QRat], mu: MultiIndex, t: int, v: int) 
 def a_value(mu: MultiIndex, n: int) -> QRat:
     """The finite multiple harmonic q-sum a_mu(n), exact in Q(q)."""
     mu = MultiIndex(mu)
+    _require_nonnegative(n=n)
     inner = _suffix(_a_weight, mu, 1, n) if len(mu) > 1 else QRAT_ONE
     return _a_weight(mu[0], n) * inner
 
@@ -112,6 +119,7 @@ def a_value(mu: MultiIndex, n: int) -> QRat:
 def b_value(mu: MultiIndex, n: int) -> QRat:
     """The companion sum b_mu(n), whose numerator shifts live on the inner blocks."""
     mu = MultiIndex(mu)
+    _require_nonnegative(n=n)
     inner = _suffix(_b_weight, mu, 1, n) if len(mu) > 1 else QRAT_ONE
     return QRat(QPoly.one(), q_integer(n + 1) ** mu[0]) * inner
 
@@ -163,6 +171,7 @@ def c_value(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> QRat:
     nu = MultiIndex(nu)
     if mu.weight != nu.weight:
         raise ValueError(f"weight mismatch: |{mu.as_text()}| != |{nu.as_text()}|")
+    _require_nonnegative(n=n, k=k)
     prefactor = QRat(QPoly.one(), q_binomial(n + k, n))
     lead = q_power((mu[0] - 1) * (n + 1))
     return prefactor * lead * _c_suffix(mu, nu, 0, n, k)

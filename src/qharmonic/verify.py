@@ -16,12 +16,12 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import direct
-from .exactq import PoleError, QPoly, QRat, q_integer, q_power
+from .exactq import QRAT_ZERO, PoleError, QPoly, QRat, q_integer, q_power
 from .harmonic import QSeq, a_seq, b_value, c_value, delta_qk_closed, delta_z, nabla_q
 from .multiindex import MultiIndex, enumerate_by_weight
 from .qseries import (
@@ -43,17 +43,35 @@ from .qseries import (
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
 
-IDENTITY_TOKENS = (
-    "duality",
-    "main",
-    "prop340",
-    "prop350",
-    "thm380",
-    "lemma360",
-    "lemma370",
-    "prop240",
-    "cor250",
+# The identity families, in report order.  Each entry pairs the tokens that
+# select it with a function from a CampaignConfig to its tasks, each a
+# (driver, args) pair run as driver(*args).  The functions name their drivers
+# as module globals when they run, so rebinding a driver (to trace or patch
+# it) reaches the campaign.
+FAMILIES = (
+    (("duality",), lambda c: [(verify_duality, (mu, c.max_k))
+                              for mu in _indices(c.max_weight)]),
+    (("main",), lambda c: [(verify_main_identity, (mu, c.max_n, c.max_k))
+                           for mu in _indices(c.max_weight)]),
+    (("prop340", "prop350"), lambda c: [
+        (verify_inductive_relations, (mu, nu, c.max_n, c.max_k, c.series_orders,
+                                      "prop340" in c.identities, "prop350" in c.identities))
+        for w in range(2, c.series_max_weight + 1) for mu, nu in _admissible_pairs(w)]),
+    (("thm380",), lambda c: [(verify_pde_annihilation, (mu, c.series_orders))
+                             for mu in _indices(c.series_max_weight)]),
+    (("lemma360",), lambda c: [(verify_operator_conjugations,
+                                (c.series_orders, DEFAULT_SEED))]),
+    (("lemma370",), lambda c: [(verify_injectivity, (c.series_orders, DEFAULT_SEED))]),
+    (("prop240",), lambda c: [(verify_product_identity,
+                               (c.series_orders, DEFAULT_SEED, 5,
+                                min(3, c.series_max_weight)))]),
+    (("cor250",), lambda c: [(verify_closed_difference,
+                              (min(c.max_n + c.max_k, 6), DEFAULT_SEED))]),
+    # Sampled evaluation of the difference formula, reported under "main".
+    (("main",), lambda c: _eval_tasks(c)),
 )
+
+IDENTITY_TOKENS = tuple(dict.fromkeys(t for tokens, _ in FAMILIES for t in tokens))
 
 DEFAULT_EVAL_POINTS = (Fraction(2, 3), Fraction(5), Fraction(-2))
 
@@ -98,16 +116,8 @@ class CampaignConfig:
                 raise ValueError("eval points must avoid q = 0 and q = 1")
 
     def to_dict(self) -> dict:
-        return {
-            "max_weight": self.max_weight,
-            "max_n": self.max_n,
-            "max_k": self.max_k,
-            "series_orders": self.series_orders,
-            "series_max_weight": self.series_max_weight,
-            "identities": list(self.identities),
-            "eval_points": [str(p) for p in self.eval_points],
-            "parallelism": self.parallelism,
-        }
+        return {**asdict(self), "identities": list(self.identities),
+                "eval_points": [str(p) for p in self.eval_points]}
 
 
 def parse_config_text(text: str) -> CampaignConfig:
@@ -125,15 +135,15 @@ def parse_config_text(text: str) -> CampaignConfig:
             raise ValueError(f"malformed config line: {raw!r}")
         key = key.strip()
         val = val.strip()
-        if key in ("max_weight", "max_n", "max_k", "series_orders",
-                   "series_max_weight", "parallelism"):
-            values[key] = int(val)
-        elif key == "identities":
-            values[key] = tuple(t.strip() for t in val.split(",") if t.strip())
-        elif key == "eval_points":
-            values[key] = tuple(Fraction(t.strip()) for t in val.split(",") if t.strip())
-        else:
+        if key not in {f.name for f in fields(CampaignConfig)}:
             raise ValueError(f"unknown config key: {key!r}")
+        items = tuple(t.strip() for t in val.split(",") if t.strip())
+        if key == "identities":
+            values[key] = items
+        elif key == "eval_points":
+            values[key] = tuple(Fraction(t) for t in items)
+        else:
+            values[key] = int(val)
     config = replace(CampaignConfig(), **values)
     config.validate()
     return config
@@ -317,7 +327,7 @@ def _inductive_case(mu: MultiIndex, nu: MultiIndex) -> int:
 
 
 def verify_inductive_relations(mu: MultiIndex, nu: MultiIndex, n_max: int, k_max: int,
-                               series_orders: int | None = None,
+                               series_orders: int,
                                include_scalar: bool = True,
                                include_series: bool = True) -> VerificationReport:
     """The two-term relations lowering (mu, nu) to their reduced pair.
@@ -349,13 +359,12 @@ def verify_inductive_relations(mu: MultiIndex, nu: MultiIndex, n_max: int, k_max
                 params = {"mu": list(mu), "nu": list(nu), "case": case, "n": n, "k": k}
                 report.add(_qrat_record("prop340", params, lhs, rhs, started))
     if include_series:
-        orders = series_orders if series_orders is not None else 5
         started = time.perf_counter()
-        G = G_series(mu, nu, orders, orders)
+        G = G_series(mu, nu, series_orders, series_orders)
         op = lowering_op_i() if case == 1 else lowering_op_ii()
         got = apply_op(op, G)
-        want = G_series(rmu, rnu, orders, orders)
-        params = {"mu": list(mu), "nu": list(nu), "case": case, "orders": orders}
+        want = G_series(rmu, rnu, series_orders, series_orders)
+        params = {"mu": list(mu), "nu": list(nu), "case": case, "orders": series_orders}
         report.add(_series_record("prop350", params, got, want, started))
     return report
 
@@ -400,38 +409,60 @@ def verify_operator_conjugations(orders: int, seed: int, count: int = 10) -> Ver
     return report
 
 
+def _inside_image(fn: Callable[[int, int], QRat], orders: int) -> BiSeries:
+    # Support inside the image region so truncation cannot hide the witness.
+    return BiSeries.from_function(
+        lambda n, k: fn(n, k) if (n < orders and k < orders) else QRAT_ZERO, orders, orders)
+
+
+def _solve_shifted_lowering(case: int, image: BiSeries) -> BiSeries:
+    """The a that shifted lowering operator `case` sends to b = `image`.
+
+    Back-substitutes the kernel recurrence over the image region, a(-1, k) =
+    a(n, -1) = 0; case 1: [n+k+2] a(n,k) = q^(n+k+2) b(n,k) + q [k] a(n,k-1),
+    case 2: [n+k+2] a(n,k) = b(n,k) + [n] a(n-1,k).
+    """
+    vx, vy = image.valid_region
+    a = [[QRAT_ZERO] * (vy + 1) for _ in range(vx + 1)]
+    for n in range(vx + 1):
+        for k in range(vy + 1):
+            if case == 1:
+                rhs = q_power(n + k + 2) * image.coeff(n, k)
+                if k:
+                    rhs = rhs + q_power(1) * QRat(q_integer(k)) * a[n][k - 1]
+            else:
+                rhs = image.coeff(n, k)
+                if n:
+                    rhs = rhs + QRat(q_integer(n)) * a[n - 1][k]
+            a[n][k] = rhs / QRat(q_integer(n + k + 2))
+    return BiSeries(a)
+
+
 def verify_injectivity(orders: int, seed: int, count: int = 10) -> VerificationReport:
     """Kernel triviality of the two shifted lowering operators on truncations.
 
-    Checks the recurrence route (the kernel equations force the zero array) and
-    the operator route (nonzero inputs keep a nonzero image on the valid
-    region; inputs are restricted so their support lies inside the image
-    region).
+    Checks the recurrence route (back-substituting each operator's kernel
+    recurrence recovers a fixed input exactly from its image, so only the zero
+    array maps to zero) and the operator route (nonzero inputs keep a nonzero
+    image on the valid region; inputs are restricted so their support lies
+    inside the image region).
     """
     rng = random.Random(seed)
     report = VerificationReport()
+    ops = ((1, lowering_op_i_shifted()), (2, lowering_op_ii_shifted()))
 
-    # Recurrence route: [n+k+2] a(n,k) = q [k] a(n,k-1) with a(n,-1) = 0 forces 0.
+    # Recurrence route, on a fixed input so the seeded samples below stay put.
     started = time.perf_counter()
-    forced_zero = True
-    for n in range(orders + 1):
-        prev = QRat(0)
-        for k in range(orders + 1):
-            cur = q_power(1) * QRat(q_integer(k)) * prev / QRat(q_integer(n + k + 2))
-            if not cur.is_zero:
-                forced_zero = False
-            prev = cur
+    fixed = _inside_image(lambda n, k: QRat(n + 2 * k + 1), orders)
+    disc = next(filter(None, (_solve_shifted_lowering(case, apply_op(op, fixed))
+                              .first_discrepancy(fixed) for case, op in ops)), None)
     report.add(Record("lemma370", {"check": "kernel_recurrence", "orders": orders},
-                      "pass" if forced_zero else "fail",
+                      "pass" if disc is None else "fail",
+                      witness=None if disc is None else witness_from_qrat(disc[2]),
                       wall_ms=(time.perf_counter() - started) * 1000.0))
 
-    ops = ((1, lowering_op_i_shifted()), (2, lowering_op_ii_shifted()))
     for idx in range(count):
-        # Support inside the image region so truncation cannot hide the witness.
-        raw = _random_series(rng, orders, orders)
-        masked = BiSeries.from_function(
-            lambda n, k: raw.coeff(n, k) if (n < orders and k < orders) else QRat(0),
-            orders, orders)
+        masked = _inside_image(_random_series(rng, orders, orders).coeff, orders)
         if masked.is_zero():
             continue
         for case, op in ops:
@@ -493,20 +524,6 @@ def verify_closed_difference(grid: int, seed: int, count: int = 5) -> Verificati
     return report
 
 
-def verify_series_suite(config: CampaignConfig) -> VerificationReport:
-    """All series-level families: residuals, conjugations, injectivity, product."""
-    report = VerificationReport(config=config)
-    orders = config.series_orders
-    for w in range(1, config.series_max_weight + 1):
-        for mu in enumerate_by_weight(w):
-            report.extend(verify_pde_annihilation(mu, orders).records)
-    report.extend(verify_operator_conjugations(orders, DEFAULT_SEED).records)
-    report.extend(verify_injectivity(orders, DEFAULT_SEED).records)
-    report.extend(verify_product_identity(
-        orders, DEFAULT_SEED, harmonic_weights=min(3, config.series_max_weight)).records)
-    return report
-
-
 def eval_crosscheck(mu: MultiIndex, n: int, k: int,
                     q_points: Sequence[Fraction]) -> VerificationReport:
     """Compare the symbolic difference-formula values with direct evaluation.
@@ -555,73 +572,21 @@ def _admissible_pairs(weight: int) -> list[tuple[MultiIndex, MultiIndex]]:
     return pairs
 
 
-def _campaign_tasks(config: CampaignConfig) -> list[tuple]:
-    tasks: list[tuple] = []
-    wants = set(config.identities)
-    if "duality" in wants:
-        for w in range(1, config.max_weight + 1):
-            for mu in enumerate_by_weight(w):
-                tasks.append(("duality", tuple(mu), config.max_k))
-    if "main" in wants:
-        for w in range(1, config.max_weight + 1):
-            for mu in enumerate_by_weight(w):
-                tasks.append(("main", tuple(mu), config.max_n, config.max_k))
-    if "prop340" in wants or "prop350" in wants:
-        for w in range(2, config.series_max_weight + 1):
-            for mu, nu in _admissible_pairs(w):
-                tasks.append(("pair", tuple(mu), tuple(nu),
-                              config.max_n, config.max_k, config.series_orders,
-                              "prop340" in wants, "prop350" in wants))
-    if "thm380" in wants:
-        for w in range(1, config.series_max_weight + 1):
-            for mu in enumerate_by_weight(w):
-                tasks.append(("thm380", tuple(mu), config.series_orders))
-    if "lemma360" in wants:
-        tasks.append(("lemma360", config.series_orders, DEFAULT_SEED))
-    if "lemma370" in wants:
-        tasks.append(("lemma370", config.series_orders, DEFAULT_SEED))
-    if "prop240" in wants:
-        tasks.append(("prop240", config.series_orders, DEFAULT_SEED,
-                      min(3, config.series_max_weight)))
-    if "cor250" in wants:
-        tasks.append(("cor250", min(config.max_n + config.max_k, 6), DEFAULT_SEED))
-    if "main" in wants and config.eval_points:
-        rng = random.Random(DEFAULT_SEED)
-        for w in range(1, config.max_weight + 1):
-            for mu in enumerate_by_weight(w):
-                n = rng.randint(0, config.max_n)
-                k = rng.randint(0, config.max_k)
-                tasks.append(("eval", tuple(mu), n, k,
-                              tuple(str(p) for p in config.eval_points)))
-    return tasks
+def _indices(max_weight: int) -> list[MultiIndex]:
+    return [mu for w in range(1, max_weight + 1) for mu in enumerate_by_weight(w)]
+
+
+def _eval_tasks(config: CampaignConfig) -> list[tuple]:
+    # One random grid point per multi-index; draw n, then k, from the base seed.
+    rng = random.Random(DEFAULT_SEED)
+    return [(eval_crosscheck, (mu, rng.randint(0, config.max_n),
+                               rng.randint(0, config.max_k), config.eval_points))
+            for mu in _indices(config.max_weight)] if config.eval_points else []
 
 
 def _run_task(task: tuple) -> list[Record]:
-    kind = task[0]
-    if kind == "duality":
-        return verify_duality(MultiIndex(task[1]), task[2]).records
-    if kind == "main":
-        return verify_main_identity(MultiIndex(task[1]), task[2], task[3]).records
-    if kind == "pair":
-        _, mu, nu, n_max, k_max, orders, scalar, series = task
-        return verify_inductive_relations(
-            MultiIndex(mu), MultiIndex(nu), n_max, k_max, orders,
-            include_scalar=scalar, include_series=series).records
-    if kind == "thm380":
-        return verify_pde_annihilation(MultiIndex(task[1]), task[2]).records
-    if kind == "lemma360":
-        return verify_operator_conjugations(task[1], task[2]).records
-    if kind == "lemma370":
-        return verify_injectivity(task[1], task[2]).records
-    if kind == "prop240":
-        return verify_product_identity(task[1], task[2], harmonic_weights=task[3]).records
-    if kind == "cor250":
-        return verify_closed_difference(task[1], task[2]).records
-    if kind == "eval":
-        _, mu, n, k, points = task
-        return eval_crosscheck(MultiIndex(mu), n, k,
-                               [Fraction(p) for p in points]).records
-    raise ValueError(f"unknown task kind {kind!r}")
+    driver, args = task
+    return driver(*args).records
 
 
 def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
@@ -633,7 +598,8 @@ def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
     """
     config = config or CampaignConfig()
     config.validate()
-    tasks = _campaign_tasks(config)
+    tasks = [task for tokens, build in FAMILIES
+             if set(tokens) & set(config.identities) for task in build(config)]
     report = VerificationReport(config=config, seed=DEFAULT_SEED)
     if config.parallelism == 1:
         for task in tasks:

@@ -7,6 +7,9 @@ import json
 import pytest
 
 from qharmonic.cli import main
+from qharmonic.verify import IDENTITY_TOKENS, CampaignConfig
+
+SERIES_TOKENS = ("thm380", "lemma360", "lemma370", "prop240")
 
 
 def run_cli(capsys, *argv):
@@ -73,33 +76,35 @@ def test_compute_pole(capsys):
     assert "vanishes" in err
 
 
-def test_verify_main_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "main",
-                           "--max-weight", "2", "--max-n", "1", "--max-k", "1")
+@pytest.mark.parametrize(
+    "tokens", [(t,) for t in IDENTITY_TOKENS] + [SERIES_TOKENS],
+    ids=list(IDENTITY_TOKENS) + ["series"])
+def test_verify_small(capsys, tokens):
+    code, out, _ = run_cli(capsys, "verify", *tokens, "--max-weight", "2",
+                           "--max-n", "1", "--max-k", "1", "--orders", "3")
     assert code == 0
+    assert out.startswith("ok:")
     assert out.strip().endswith("0 failed, 0 skipped")
 
 
-def test_verify_duality_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "duality",
-                           "--max-weight", "2", "--max-k", "2")
+def test_verify_defaults_come_from_campaign_config(capsys):
+    # weight <= 2 gives 3 multi-indices; the default max_k = 4 gives k = 0..4
+    assert CampaignConfig().max_k == 4
+    code, out, _ = run_cli(capsys, "verify", "duality", "--max-weight", "2")
     assert code == 0
-    assert "ok:" in out
+    assert out.strip() == "ok: 15 passed, 0 failed, 0 skipped"
 
 
-def test_verify_prop340_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "prop340",
-                           "--max-weight", "2", "--max-n", "2", "--max-k", "2",
-                           "--orders", "3")
-    assert code == 0
-    assert "ok:" in out
+def test_verify_rejects_unknown_token():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "series"])
+    assert exc.value.code == 2
 
 
-def test_verify_series_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "series",
-                           "--max-weight", "2", "--orders", "3")
-    assert code == 0
-    assert "ok:" in out
+def test_compute_negative_index(capsys):
+    code, _, err = run_cli(capsys, "compute", "a", "1,1", "-1")
+    assert code == 2
+    assert "n must be >= 0, got -1" in err
 
 
 def test_campaign_with_config_and_report(tmp_path, capsys):

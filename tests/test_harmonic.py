@@ -85,6 +85,17 @@ class TestCValues:
         with pytest.raises(ValueError):
             c_value(MultiIndex((2,)), MultiIndex((1, 1, 1)), 0, 0)
 
+    def test_negative_indices_rejected_by_name(self):
+        mu = MultiIndex((1, 1))
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            a_value(mu, -1)
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            b_value(mu, -1)
+        with pytest.raises(ValueError, match="n must be >= 0, got -2"):
+            c_value(mu, MultiIndex((2,)), -2, 0)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            c_value(mu, MultiIndex((2,)), 0, -1)
+
     def test_closed_form_for_ones(self):
         one = MultiIndex((1,))
         for n in range(6):

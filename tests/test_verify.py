@@ -6,17 +6,20 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qharmonic import direct
+from qharmonic import direct, verify
 from qharmonic.exactq import PoleError, QPoly, QRat
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
+from qharmonic.qseries import lowering_op_i, lowering_op_ii
 from qharmonic.verify import (
     CampaignConfig,
     DEFAULT_SEED,
+    IDENTITY_TOKENS,
     Record,
     VerificationReport,
     _qrat_record,
@@ -26,8 +29,8 @@ from qharmonic.verify import (
     run_campaign,
     verify_duality,
     verify_inductive_relations,
+    verify_injectivity,
     verify_main_identity,
-    verify_series_suite,
     witness_from_qrat,
 )
 
@@ -121,11 +124,26 @@ class TestIdentityDrivers:
 
     def test_inductive_relations_preconditions(self):
         with pytest.raises(ValueError):
-            verify_inductive_relations(MultiIndex((2, 1)), MultiIndex((2, 1)), 2, 2)
+            verify_inductive_relations(MultiIndex((2, 1)), MultiIndex((2, 1)), 2, 2, 3)
         with pytest.raises(ValueError):
-            verify_inductive_relations(MultiIndex((1,)), MultiIndex((1,)), 2, 2)
+            verify_inductive_relations(MultiIndex((1,)), MultiIndex((1,)), 2, 2, 3)
         with pytest.raises(ValueError):
-            verify_inductive_relations(MultiIndex((2,)), MultiIndex((1, 1, 1)), 2, 2)
+            verify_inductive_relations(MultiIndex((2,)), MultiIndex((1, 1, 1)), 2, 2, 3)
+
+    def test_kernel_recurrence_record_passes(self):
+        [rec] = verify_injectivity(4, DEFAULT_SEED, count=0).records
+        assert rec.identity == "lemma370"
+        assert rec.params == {"check": "kernel_recurrence", "orders": 4}
+        assert rec.status == "pass" and rec.witness is None
+
+    @pytest.mark.parametrize("name, wrong", [("lowering_op_i_shifted", lowering_op_i),
+                                             ("lowering_op_ii_shifted", lowering_op_ii)])
+    def test_kernel_recurrence_fails_for_wrong_operator(self, monkeypatch, name, wrong):
+        # negative control: the unshifted operator does not satisfy the recurrence
+        monkeypatch.setattr(verify, name, wrong)
+        [rec] = verify_injectivity(4, DEFAULT_SEED, count=0).records
+        assert rec.status == "fail"
+        assert not qrat_from_witness(rec.witness).is_zero
 
     def test_inductive_relations_both_cases(self):
         rep = verify_inductive_relations(MultiIndex((2,)), MultiIndex((1, 1)), 3, 3, 4)
@@ -134,7 +152,8 @@ class TestIdentityDrivers:
         assert rep.all_passed
 
     def test_series_suite_small(self):
-        rep = verify_series_suite(SMALL)
+        rep = run_campaign(replace(
+            SMALL, identities=("thm380", "lemma360", "lemma370", "prop240")))
         assert rep.all_passed
         kinds = {r.identity for r in rep.records}
         assert kinds == {"thm380", "lemma360", "lemma370", "prop240"}
@@ -186,6 +205,18 @@ class TestCampaign:
         seen = {r.identity for r in rep.records}
         assert seen == {"duality", "main", "prop340", "prop350", "thm380",
                         "lemma360", "lemma370", "prop240", "cor250"}
+
+    @pytest.mark.parametrize("token", IDENTITY_TOKENS)
+    def test_single_token_campaign_yields_only_its_records(self, token):
+        cfg = CampaignConfig(max_weight=2, max_n=1, max_k=1, series_orders=3,
+                             series_max_weight=2, identities=(token,))
+        rep = run_campaign(cfg)
+        assert rep.all_passed
+        assert rep.records
+        assert {r.identity for r in rep.records} == {token}
+        evals = [r for r in rep.records if r.params.get("check") == "eval"]
+        # main adds one sampled-evaluation task per multi-index, 3 points each
+        assert len(evals) == (9 if token == "main" else 0)
 
     def test_report_schema(self):
         rep = run_campaign(CampaignConfig(max_weight=1, identities=("duality",),
