@@ -122,11 +122,6 @@ class QPoly:
             raise ValueError("the zero polynomial has no leading coefficient")
         return Fraction(self._nums[-1], self._den)
 
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._nums):
-            return Fraction(self._nums[power], self._den)
-        return Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self._nums)
 
@@ -216,9 +211,6 @@ class QPoly:
             while rem and rem[-1] == 0:
                 rem.pop()
         return QPoly(quo), QPoly(rem)
-
-    def __floordiv__(self, other: QPoly | Scalar) -> QPoly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: QPoly | Scalar) -> QPoly:
         return divmod(self, other)[1]
@@ -474,7 +466,10 @@ class QRat:
         return hash(("QRat", self._num, self._den))
 
     def __neg__(self) -> QRat:
-        return QRat(-self._num, self._den)
+        # -num/den is already canonical, so it skips the reduction in __init__.
+        r = object.__new__(QRat)
+        r._num, r._den = -self._num, self._den
+        return r
 
     def __add__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)

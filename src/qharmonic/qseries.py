@@ -14,15 +14,15 @@ consumes one order on its axis, dilations and scalars preserve orders, sums and
 comparisons restrict to the intersection of valid regions.  Truncation can
 therefore never masquerade as equality.
 
-``SeriesOp`` is a small composable algebra of such operators.  Operators
-multiply as compositions (right factor applied first), add pointwise, and admit
-scalar multiples from Q(q), which lets the package spell composite operators
-the way the identities state them, e.g. ``q * PARTIAL_X * LAMBDA_Y + PARTIAL_Y - 1``.
+``SeriesOp`` is the one operator type: it holds a function from series to
+series.  Operators multiply as compositions (right factor applied first), add
+pointwise, and admit scalar multiples from Q(q), which lets the package spell
+composite operators the way the identities state them, e.g.
+``q * PARTIAL_X * LAMBDA_Y + PARTIAL_Y - 1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -37,11 +37,20 @@ class TruncationError(ValueError):
     """An operation needed more valid orders than the series carries."""
 
 
-def _check_axis(axis: AxisName) -> str:
+def _axis_step(axis: AxisName) -> tuple[int, int]:
+    """The index step (dn, dk) of one order along the axis."""
     a = axis.lower()
     if a not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return a
+    return (1, 0) if a == "x" else (0, 1)
+
+
+def _consume_order(s: BiSeries, axis: AxisName) -> tuple[int, int, int, int]:
+    """Axis step (dn, dk) and the valid region left after one order on the axis."""
+    dn, dk = _axis_step(axis)
+    if s.valid_region[dk] < 1:
+        raise TruncationError(f"no valid orders left on axis {'XY'[dk]}")
+    return dn, dk, s.valid_x - dn, s.valid_y - dk
 
 
 class BiSeries:
@@ -115,7 +124,7 @@ class BiSeries:
         return BiSeries(tuple(tuple(f * c for c in row) for row in self._rows))
 
     def __neg__(self) -> BiSeries:
-        return self.scale(-1)
+        return BiSeries(tuple(tuple(-c for c in row) for row in self._rows))
 
     def __add__(self, other: BiSeries) -> BiSeries:
         if not isinstance(other, BiSeries):
@@ -153,44 +162,26 @@ class BiSeries:
 
 def q_partial(s: BiSeries, axis: AxisName) -> BiSeries:
     """q-partial derivative: an index shift along the axis, one order consumed."""
-    axis = _check_axis(axis)
-    if axis == "x":
-        if s.valid_x < 1:
-            raise TruncationError("no valid orders left on axis X")
-        return BiSeries.from_function(lambda n, k: s.coeff(n + 1, k),
-                                      s.valid_x - 1, s.valid_y)
-    if s.valid_y < 1:
-        raise TruncationError("no valid orders left on axis Y")
-    return BiSeries.from_function(lambda n, k: s.coeff(n, k + 1),
-                                  s.valid_x, s.valid_y - 1)
+    dn, dk, vx, vy = _consume_order(s, axis)
+    return BiSeries.from_function(lambda n, k: s.coeff(n + dn, k + dk), vx, vy)
 
 
 def lambda_scale(s: BiSeries, axis: AxisName, sign: int = 1) -> BiSeries:
     """Dilation X -> qX (or Y -> qY): multiply a(n, k) by q^(+-n) (resp. q^(+-k))."""
-    axis = _check_axis(axis)
+    _, dk = _axis_step(axis)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if axis == "x":
-        return BiSeries.from_function(lambda n, k: q_power(sign * n) * s.coeff(n, k),
-                                      s.valid_x, s.valid_y)
-    return BiSeries.from_function(lambda n, k: q_power(sign * k) * s.coeff(n, k),
+    return BiSeries.from_function(lambda n, k: q_power(sign * (n, k)[dk]) * s.coeff(n, k),
                                   s.valid_x, s.valid_y)
 
 
 def mul_by_var(s: BiSeries, axis: AxisName) -> BiSeries:
     """Multiply by X or Y: a'(n,k) = [n]_q a(n-1,k); one order consumed on the axis."""
-    axis = _check_axis(axis)
-    if axis == "x":
-        if s.valid_x < 1:
-            raise TruncationError("no valid orders left on axis X")
-        return BiSeries.from_function(
-            lambda n, k: QRat(q_integer(n)) * s.coeff(n - 1, k) if n >= 1 else QRAT_ZERO,
-            s.valid_x - 1, s.valid_y)
-    if s.valid_y < 1:
-        raise TruncationError("no valid orders left on axis Y")
+    dn, dk, vx, vy = _consume_order(s, axis)
     return BiSeries.from_function(
-        lambda n, k: QRat(q_integer(k)) * s.coeff(n, k - 1) if k >= 1 else QRAT_ZERO,
-        s.valid_x, s.valid_y - 1)
+        lambda n, k: (QRat(q_integer((n, k)[dk])) * s.coeff(n - dn, k - dk)
+                      if (n, k)[dk] >= 1 else QRAT_ZERO),
+        vx, vy)
 
 
 def series_mul(s: BiSeries, t: BiSeries) -> BiSeries:
@@ -295,175 +286,91 @@ def G_series(mu: MultiIndex, nu: MultiIndex, valid_x: int, valid_y: int) -> BiSe
 
 # --- the operator algebra -------------------------------------------------------
 
+_SCALARS = (int, Fraction, QPoly, QRat)
+
+
 class SeriesOp:
-    """Composable linear operator on BiSeries.
+    """Linear operator on BiSeries, held as one function ``apply``.
 
     ``A * B`` composes (B first), ``A + B`` adds pointwise, scalars from Q(q)
-    multiply from either side, and integers coerce to scalar multiples of the
-    identity so expressions like ``op - 1`` read as in the identities.
+    multiply from either side, and scalars coerce to scalar multiples of the
+    identity so expressions like ``op - 1`` read as in the identities.  Each
+    operation returns a new operator whose function closes over its operands.
     """
 
-    def apply(self, s: BiSeries) -> BiSeries:
-        raise NotImplementedError
+    __slots__ = ("apply",)
+
+    def __init__(self, apply: Callable[[BiSeries], BiSeries]) -> None:
+        self.apply = apply
 
     def __mul__(self, other) -> SeriesOp:
-        other_op = _as_op(other)
-        if other_op is None:
+        other = _as_op(other)
+        if other is None:
             return NotImplemented
-        return _compose(self, other_op)
+        f, g = self.apply, other.apply
+        return SeriesOp(lambda s: f(g(s)))
 
     def __rmul__(self, other) -> SeriesOp:
-        other_op = _as_op(other)
-        if other_op is None:
-            return NotImplemented
-        return _compose(other_op, self)
+        other = _as_op(other)
+        return NotImplemented if other is None else other * self
 
     def __add__(self, other) -> SeriesOp:
-        other_op = _as_op(other)
-        if other_op is None:
+        other = _as_op(other)
+        if other is None:
             return NotImplemented
-        return _sum(self, other_op)
+        f, g = self.apply, other.apply
+        return SeriesOp(lambda s: f(s) + g(s))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> SeriesOp:
-        other_op = _as_op(other)
-        if other_op is None:
-            return NotImplemented
-        return _sum(self, _negate(other_op))
+        # A scalar is negated before it becomes an operator: op - c is one scalar pass.
+        return self + (-other) if isinstance(other, (SeriesOp, *_SCALARS)) else NotImplemented
 
     def __rsub__(self, other) -> SeriesOp:
-        other_op = _as_op(other)
-        if other_op is None:
-            return NotImplemented
-        return _sum(other_op, _negate(self))
+        return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
 
     def __neg__(self) -> SeriesOp:
-        return _negate(self)
-
-
-@dataclass(frozen=True)
-class ScalarOp(SeriesOp):
-    value: QRat
-
-    def apply(self, s: BiSeries) -> BiSeries:
-        return s.scale(self.value)
-
-    def __repr__(self) -> str:
-        return f"ScalarOp({self.value})"
-
-
-@dataclass(frozen=True)
-class PartialOp(SeriesOp):
-    axis: str
-
-    def apply(self, s: BiSeries) -> BiSeries:
-        return q_partial(s, self.axis)
-
-
-@dataclass(frozen=True)
-class LambdaOp(SeriesOp):
-    axis: str
-    sign: int = 1
-
-    def apply(self, s: BiSeries) -> BiSeries:
-        return lambda_scale(s, self.axis, self.sign)
-
-
-@dataclass(frozen=True)
-class MulVarOp(SeriesOp):
-    axis: str
-
-    def apply(self, s: BiSeries) -> BiSeries:
-        return mul_by_var(s, self.axis)
-
-
-@dataclass(frozen=True)
-class DiagQIntOp(SeriesOp):
-    """Diagonal a(n,k) -> [n+k+offset]_q a(n,k).
-
-    This is the exact array form of (1 - q^offset Lambda_X Lambda_Y) / (1 - q):
-    no division by the polynomial 1 - q ever happens at the array level.
-    """
-
-    offset: int
-
-    def apply(self, s: BiSeries) -> BiSeries:
-        return BiSeries.from_function(
-            lambda n, k: QRat(q_integer(n + k + self.offset)) * s.coeff(n, k),
-            s.valid_x, s.valid_y)
-
-
-@dataclass(frozen=True)
-class ComposeOp(SeriesOp):
-    factors: tuple[SeriesOp, ...]
-
-    def apply(self, s: BiSeries) -> BiSeries:
-        for op in reversed(self.factors):
-            s = op.apply(s)
-        return s
-
-
-@dataclass(frozen=True)
-class SumOp(SeriesOp):
-    terms: tuple[SeriesOp, ...]
-
-    def apply(self, s: BiSeries) -> BiSeries:
-        acc = self.terms[0].apply(s)
-        for op in self.terms[1:]:
-            acc = acc + op.apply(s)
-        return acc
+        f = self.apply
+        return SeriesOp(lambda s: -f(s))
 
 
 def _as_op(x) -> SeriesOp | None:
     if isinstance(x, SeriesOp):
         return x
-    if isinstance(x, (int, Fraction, QPoly, QRat)):
-        return ScalarOp(_require_rat(x))
-    return None
+    return scalar_op(x) if isinstance(x, _SCALARS) else None
 
 
-def _compose(a: SeriesOp, b: SeriesOp) -> SeriesOp:
-    fa = a.factors if isinstance(a, ComposeOp) else (a,)
-    fb = b.factors if isinstance(b, ComposeOp) else (b,)
-    return ComposeOp(fa + fb)
+def scalar_op(value: QRat | QPoly | Scalar) -> SeriesOp:
+    """Multiplication by a constant of Q(q)."""
+    factor = _require_rat(value)
+    return SeriesOp(lambda s: s.scale(factor))
 
 
-def _sum(a: SeriesOp, b: SeriesOp) -> SeriesOp:
-    ta = a.terms if isinstance(a, SumOp) else (a,)
-    tb = b.terms if isinstance(b, SumOp) else (b,)
-    return SumOp(ta + tb)
+def diag_q_integer(offset: int) -> SeriesOp:
+    """Diagonal a(n,k) -> [n+k+offset]_q a(n,k).
+
+    This is the exact array form of (1 - q^offset Lambda_X Lambda_Y) / (1 - q):
+    no division by the polynomial 1 - q ever happens at the array level.
+    """
+    return SeriesOp(lambda s: BiSeries.from_function(
+        lambda n, k: QRat(q_integer(n + k + offset)) * s.coeff(n, k), s.valid_x, s.valid_y))
 
 
-def _negate(a: SeriesOp) -> SeriesOp:
-    if isinstance(a, ScalarOp):
-        return ScalarOp(-a.value)
-    return _compose(ScalarOp(QRat(-1)), a)
-
-
-IDENTITY = ScalarOp(QRAT_ONE)
-PARTIAL_X = PartialOp("x")
-PARTIAL_Y = PartialOp("y")
-LAMBDA_X = LambdaOp("x", 1)
-LAMBDA_Y = LambdaOp("y", 1)
-LAMBDA_X_INV = LambdaOp("x", -1)
-LAMBDA_Y_INV = LambdaOp("y", -1)
-MUL_X = MulVarOp("x")
-MUL_Y = MulVarOp("y")
+IDENTITY = scalar_op(QRAT_ONE)
+PARTIAL_X = SeriesOp(lambda s: q_partial(s, "x"))
+PARTIAL_Y = SeriesOp(lambda s: q_partial(s, "y"))
+LAMBDA_X = SeriesOp(lambda s: lambda_scale(s, "x"))
+LAMBDA_Y = SeriesOp(lambda s: lambda_scale(s, "y"))
+LAMBDA_X_INV = SeriesOp(lambda s: lambda_scale(s, "x", -1))
+LAMBDA_Y_INV = SeriesOp(lambda s: lambda_scale(s, "y", -1))
+MUL_X = SeriesOp(lambda s: mul_by_var(s, "x"))
+MUL_Y = SeriesOp(lambda s: mul_by_var(s, "y"))
 
 
 def apply_op(op: SeriesOp, s: BiSeries) -> BiSeries:
     """Apply a composite operator, tracking the shrunk valid region."""
     return op.apply(s)
-
-
-def scalar_op(value: QRat | QPoly | Scalar) -> SeriesOp:
-    return ScalarOp(_require_rat(value))
-
-
-def diag_q_integer(offset: int) -> SeriesOp:
-    """(1 - q^offset Lambda_X Lambda_Y) / (1 - q) as a diagonal q-integer scaling."""
-    return DiagQIntOp(offset)
 
 
 def q_commutator(a: SeriesOp, b: SeriesOp) -> SeriesOp:

@@ -200,6 +200,9 @@ def test_inverse_and_canonical_idempotence(x):
     again = QRat(x.num, x.den)
     assert again == x
     assert again.num == x.num and again.den == x.den
+    neg = QRat(-x.num, x.den)  # negation skips the reduction; the result must match it
+    assert (-x).num == neg.num and (-x).den == neg.den
+    assert -x + x == QRat(0)
     if not x.is_zero:
         assert poly_gcd(x.num, x.den).degree == 0
         assert x.den.leading_coefficient == 1

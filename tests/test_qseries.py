@@ -379,12 +379,28 @@ class TestKernelTriviality:
                 assert value == delta_qk_closed(seq, n, k), (n, k)
 
     def test_shifted_lowering_kernel_recurrence_forces_zero(self):
-        # [n+k+2] a(n,k) = q [k] a(n,k-1), a(n,-1) = 0  =>  all zero
-        for n in range(7):
-            prev = QRat(0)
-            for k in range(7):
-                prev = q_power(1) * QRat(q_integer(k)) * prev / QRat(q_integer(n + k + 2))
-                assert prev.is_zero
+        # Coefficient form of both shifted lowering operators on the whole image:
+        #   case 1: q^(n+k+2) image(n,k) = [n+k+2] a(n,k) - q [k] a(n,k-1)
+        #   case 2:           image(n,k) = [n+k+2] a(n,k) - [n] a(n-1,k)
+        # so a zero image forces a = 0 row by row (k = 0 first) and column by column.
+        rng = random.Random(19)
+        a = BiSeries.from_function(
+            lambda n, k: QRat(rng.randint(-5, 5)) if (n < ORDERS and k < ORDERS) else QRat(0),
+            ORDERS, ORDERS)
+
+        def at(n: int, k: int) -> QRat:
+            return a.coeff(n, k) if n >= 0 and k >= 0 else QRat(0)
+
+        image = apply_op(lowering_op_i_shifted(), a)
+        assert image.valid_region == (ORDERS, ORDERS - 1)
+        for n, k, c in image.enumerate():
+            assert q_power(n + k + 2) * c == (QRat(q_integer(n + k + 2)) * at(n, k)
+                                              - q_power(1) * QRat(q_integer(k)) * at(n, k - 1)), (n, k)
+        image = apply_op(lowering_op_ii_shifted(), a)
+        assert image.valid_region == (ORDERS - 1, ORDERS)
+        for n, k, c in image.enumerate():
+            assert c == (QRat(q_integer(n + k + 2)) * at(n, k)
+                         - QRat(q_integer(n)) * at(n - 1, k)), (n, k)
 
     def test_shifted_lowering_injective_on_truncations(self):
         rng = random.Random(21)
@@ -408,6 +424,28 @@ class TestOpAlgebra:
         op = 2 * IDENTITY - IDENTITY
         assert apply_op(op, s).agrees_with(s)
         assert apply_op(-IDENTITY, s).agrees_with(s.scale(-1))
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda op: 1 - op, lambda s, t: s - t),
+        (lambda op: op - 1, lambda s, t: t - s),
+        (lambda op: 2 + op, lambda s, t: s.scale(2) + t),
+        (lambda op: q_power(1) * op, lambda s, t: t.scale(q_power(1))),
+        (lambda op: op * QPoly((1, 1)),
+         lambda s, t: q_partial(lambda_scale(s.scale(QPoly((1, 1))), "y"), "x")),
+        (lambda op: -op, lambda s, t: -t),
+    ], ids=["rsub", "sub", "radd", "rmul", "mul", "neg"])
+    def test_scalar_coercions(self, build, expected):
+        s = _random_series(25, ints_only=False)
+        got = apply_op(build(PARTIAL_X * LAMBDA_Y), s)
+        want = expected(s, q_partial(lambda_scale(s, "y"), "x"))
+        assert got.valid_region == want.valid_region == (ORDERS - 1, ORDERS)
+        assert got.first_discrepancy(want) is None
+
+    def test_unsupported_operands(self):
+        with pytest.raises(TypeError):
+            PARTIAL_X + "x"
+        with pytest.raises(TypeError):
+            "x" * PARTIAL_X
 
     def test_exhaustion_through_composition(self):
         s = BiSeries.from_function(lambda n, k: QRat(1), 1, 1)
