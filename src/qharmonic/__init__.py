@@ -11,7 +11,6 @@ from .exactq import (
     PoleError,
     QPoly,
     QRat,
-    Rational,
     poly_gcd,
     q_binomial,
     q_factorial,

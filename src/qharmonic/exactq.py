@@ -1,9 +1,8 @@
 """Exact arithmetic in the field Q(q).
 
-Provides arbitrary-precision rationals (``Rational``), dense polynomials in the
-indeterminate q (``QPoly``), reduced rational functions (``QRat``), and the
-q-combinatorial primitives built on them: q-integers, q-factorials and Gaussian
-binomial coefficients.
+Provides dense polynomials over Q in the indeterminate q (``QPoly``), reduced
+rational functions (``QRat``), and the q-combinatorial primitives built on
+them: q-integers, q-factorials and Gaussian binomial coefficients.
 
 All values are immutable and kept in a canonical form — polynomials carry no
 trailing zero coefficients, rational functions are gcd-reduced with a monic
@@ -21,10 +20,6 @@ import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
-
-# Arbitrary-precision rationals: always in lowest terms, denominator > 0,
-# zero is Fraction(0, 1).  These invariants are guaranteed by the class itself.
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -391,9 +386,10 @@ def q_factorial(n: int) -> QPoly:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q, with [0]_q! = 1."""
     if n < 0:
         raise ValueError("q_factorial requires n >= 0")
-    if n == 0:
-        return QPoly.one()
-    return q_factorial(n - 1) * q_integer(n)
+    out = QPoly.one()
+    for i in range(2, n + 1):
+        out = out * q_integer(i)
+    return out
 
 
 @functools.cache

@@ -10,11 +10,12 @@ of non-negative integers:
   denominator fuses the two chains through the block expansions of mu and nu,
   scaled by the inverse Gaussian binomial [n+k choose n]_q.
 
-Chains are never enumerated outright.  Each sum is evaluated by a suffix
-recursion memoized on (block position, current upper bound); for c the state is
-(slot, current n-value, current k-value), walking the fused factors from the
-innermost slot outward.  The memo for a given (mu, nu) is independent of the
-outer (n, k), so one table serves an entire verification grid.
+Chains are never enumerated outright.  c is evaluated by one suffix recursion
+memoized on (slot, current n-value, current k-value), walking the fused factors
+from the innermost slot outward; its depth is the weight, whatever n and k are.
+The memo for a given (mu, nu) is independent of the outer (n, k), so one table
+serves an entire verification grid.  a and b are c sums against a one-block
+partner index, so they share that recursion and its memo.
 
 All results are canonical QRat values; repeated calls return identical objects
 via the caches, which are transparent to results.
@@ -28,7 +29,6 @@ from typing import Callable
 from .exactq import (
     QPoly,
     QRat,
-    QRAT_ONE,
     QRAT_ZERO,
     Scalar,
     _require_rat,
@@ -86,42 +86,22 @@ def _require_nonnegative(**values: int) -> None:
 
 
 # --- the a and b families ---------------------------------------------------
+#
+# A one-block index has a constant chain, so c collapses onto a and b:
+# c_{mu,(m)}(n, 0) = a_mu(n) and c_{(m),mu}(0, n) = q^(m-p) b_mu(n), with
+# m = |mu| and p = len(mu).
 
-def _a_weight(part: int, x: int) -> QRat:
-    # q^((part-1)(x+1)) / [x+1]^part
-    return QRat(QPoly.monomial(1, (part - 1) * (x + 1)), q_integer(x + 1) ** part)
-
-
-def _b_weight(part: int, x: int) -> QRat:
-    # q^(x+1) / [x+1]^part: the weight of every b-block but the first
-    return QRat(QPoly.monomial(1, x + 1), q_integer(x + 1) ** part)
-
-
-@functools.cache
-def _suffix(weight: Callable[[int, int], QRat], mu: MultiIndex, t: int, v: int) -> QRat:
-    # Sum over chains v >= n_t >= ... >= n_p >= 0 of the weights of blocks t..p.
-    if v < 0:
-        return QRAT_ZERO
-    inner = _suffix(weight, mu, t + 1, v) if t + 1 < len(mu) else QRAT_ONE
-    return _suffix(weight, mu, t, v - 1) + weight(mu[t], v) * inner
-
-
-@functools.cache
 def a_value(mu: MultiIndex, n: int) -> QRat:
     """The finite multiple harmonic q-sum a_mu(n), exact in Q(q)."""
     mu = MultiIndex(mu)
-    _require_nonnegative(n=n)
-    inner = _suffix(_a_weight, mu, 1, n) if len(mu) > 1 else QRAT_ONE
-    return _a_weight(mu[0], n) * inner
+    return c_value(mu, MultiIndex((mu.weight,)), n, 0)
 
 
-@functools.cache
 def b_value(mu: MultiIndex, n: int) -> QRat:
     """The companion sum b_mu(n), whose numerator shifts live on the inner blocks."""
     mu = MultiIndex(mu)
     _require_nonnegative(n=n)
-    inner = _suffix(_b_weight, mu, 1, n) if len(mu) > 1 else QRAT_ONE
-    return QRat(QPoly.one(), q_integer(n + 1) ** mu[0]) * inner
+    return q_power(mu.length - mu.weight) * c_value(MultiIndex((mu.weight,)), mu, 0, n)
 
 
 def a_seq(mu: MultiIndex) -> QSeq:

@@ -187,15 +187,25 @@ def qrat_from_witness(witness: dict) -> QRat:
 
 
 class VerificationReport:
-    """Ordered collection of records plus campaign metadata."""
+    """Ordered collection of records plus campaign metadata.
+
+    The report keeps the record clock: `add` stamps each record's wall_ms with
+    the time since the previous `add`, or since the report was created, so the
+    records of one identity check cover all of its work.  `extend` copies records from
+    other reports and keeps their stamps.
+    """
 
     def __init__(self, config: CampaignConfig | None = None,
                  seed: int = DEFAULT_SEED) -> None:
         self.records: list[Record] = []
         self.config = config
         self.seed = seed
+        self._clock = time.perf_counter()
 
     def add(self, record: Record) -> None:
+        now = time.perf_counter()
+        record.wall_ms = (now - self._clock) * 1000.0
+        self._clock = now
         self.records.append(record)
 
     def extend(self, records: Iterable[Record]) -> None:
@@ -228,8 +238,7 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
-def _qrat_record(identity: str, params: dict, lhs: QRat, rhs: QRat,
-                 started: float) -> Record:
+def _qrat_record(identity: str, params: dict, lhs: QRat, rhs: QRat) -> Record:
     diff = lhs - rhs
     ok = diff.is_zero
     return Record(
@@ -237,12 +246,10 @@ def _qrat_record(identity: str, params: dict, lhs: QRat, rhs: QRat,
         params=params,
         status="pass" if ok else "fail",
         witness=None if ok else witness_from_qrat(diff),
-        wall_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
-def _series_record(identity: str, params: dict, got: BiSeries, want: BiSeries,
-                   started: float) -> Record:
+def _series_record(identity: str, params: dict, got: BiSeries, want: BiSeries) -> Record:
     vx = min(got.valid_x, want.valid_x)
     vy = min(got.valid_y, want.valid_y)
     disc = got.first_discrepancy(want)
@@ -255,14 +262,7 @@ def _series_record(identity: str, params: dict, got: BiSeries, want: BiSeries,
         status="pass" if disc is None else "fail",
         witness=None if disc is None else witness_from_qrat(disc[2]),
         valid_region=[vx, vy],
-        wall_ms=(time.perf_counter() - started) * 1000.0,
     )
-
-
-def _zero_series_record(identity: str, params: dict, got: BiSeries,
-                        started: float) -> Record:
-    return _series_record(identity, params,
-                          got, BiSeries.zero(got.valid_x, got.valid_y), started)
 
 
 # --- identity drivers ---------------------------------------------------------
@@ -274,41 +274,38 @@ def verify_main_identity(mu: MultiIndex, n_max: int, k_max: int) -> Verification
     Both the closed alternating-sum form and the iterated first-difference form
     of the left side are exercised on every grid point.
     """
+    report = VerificationReport()
     mu = MultiIndex(mu)
     dual = mu.dual()
     seq = a_seq(mu)
     iterated = [seq]
     for i in range(1, k_max + 1):
         iterated.append(delta_z(iterated[-1], q_power(i)))
-    report = VerificationReport()
     for n in range(n_max + 1):
         for k in range(k_max + 1):
-            started = time.perf_counter()
             closed = delta_qk_closed(seq, n, k)
             rhs = c_value(mu, dual, n, k)
             params = {"mu": list(mu), "n": n, "k": k}
-            rec = _qrat_record("main", params, closed, rhs, started)
+            rec = _qrat_record("main", params, closed, rhs)
             if rec.status == "pass":
                 stepped = iterated[k](n)
                 if stepped != closed:
                     rec = Record("main", {**params, "check": "iterated_vs_closed"},
                                  "fail", witness_from_qrat(stepped - closed))
-            rec.wall_ms = (time.perf_counter() - started) * 1000.0  # includes the iterated check
             report.add(rec)
     return report
 
 
 def verify_duality(mu: MultiIndex, k_max: int) -> VerificationReport:
     """Duality: the alternating binomial transform of a_mu equals b at the dual index."""
+    report = VerificationReport()
     mu = MultiIndex(mu)
     dual = mu.dual()
     seq = a_seq(mu)
-    report = VerificationReport()
     for k in range(k_max + 1):
-        started = time.perf_counter()
         lhs = nabla_q(seq, k)
         rhs = b_value(dual, k)
-        report.add(_qrat_record("duality", {"mu": list(mu), "k": k}, lhs, rhs, started))
+        report.add(_qrat_record("duality", {"mu": list(mu), "k": k}, lhs, rhs))
     return report
 
 
@@ -336,11 +333,11 @@ def verify_inductive_relations(mu: MultiIndex, nu: MultiIndex, n_max: int, k_max
     matching lowering operator applied to G(mu, nu) agrees with G of the
     reduced pair on the shrunk valid region.
     """
+    report = VerificationReport()
     mu = MultiIndex(mu)
     nu = MultiIndex(nu)
     case = _inductive_case(mu, nu)
     rmu, rnu = mu.minus_reduce(), nu.minus_reduce()
-    report = VerificationReport()
     if include_scalar:
         for n in range(n_max + 1):
             # case 1 references c(n, k-1), case 2 references c(n-1, k); the
@@ -348,7 +345,6 @@ def verify_inductive_relations(mu: MultiIndex, nu: MultiIndex, n_max: int, k_max
             for k in range(k_max + 1):
                 if (case == 1 and k < 1) or (case == 2 and n < 1):
                     continue
-                started = time.perf_counter()
                 bracket = QRat(q_integer(n + k + 1)) * c_value(mu, nu, n, k)
                 if case == 1:
                     bracket = bracket - QRat(q_integer(k)) * c_value(mu, nu, n, k - 1)
@@ -357,26 +353,24 @@ def verify_inductive_relations(mu: MultiIndex, nu: MultiIndex, n_max: int, k_max
                     lhs = bracket - QRat(q_integer(n)) * c_value(mu, nu, n - 1, k)
                 rhs = c_value(rmu, rnu, n, k)
                 params = {"mu": list(mu), "nu": list(nu), "case": case, "n": n, "k": k}
-                report.add(_qrat_record("prop340", params, lhs, rhs, started))
+                report.add(_qrat_record("prop340", params, lhs, rhs))
     if include_series:
-        started = time.perf_counter()
         G = G_series(mu, nu, series_orders, series_orders)
         op = lowering_op_i() if case == 1 else lowering_op_ii()
         got = apply_op(op, G)
         want = G_series(rmu, rnu, series_orders, series_orders)
         params = {"mu": list(mu), "nu": list(nu), "case": case, "orders": series_orders}
-        report.add(_series_record("prop350", params, got, want, started))
+        report.add(_series_record("prop350", params, got, want))
     return report
 
 
 def verify_pde_annihilation(mu: MultiIndex, orders: int) -> VerificationReport:
     """The annihilating operator sends G(mu, mu*) to the zero array."""
-    mu = MultiIndex(mu)
-    started = time.perf_counter()
-    G = G_series(mu, mu.dual(), orders, orders)
     report = VerificationReport()
-    report.add(_zero_series_record(
-        "thm380", {"mu": list(mu), "orders": orders}, pde_residual(G), started))
+    mu = MultiIndex(mu)
+    residual = pde_residual(G_series(mu, mu.dual(), orders, orders))
+    report.add(_series_record("thm380", {"mu": list(mu), "orders": orders},
+                              residual, BiSeries.zero(*residual.valid_region)))
     return report
 
 
@@ -390,8 +384,8 @@ def _random_seq(rng: random.Random, length: int) -> QSeq:
 
 def verify_operator_conjugations(orders: int, seed: int, count: int = 10) -> VerificationReport:
     """Both conjugation identities for the lowering operators, on random series."""
-    rng = random.Random(seed)
     report = VerificationReport()
+    rng = random.Random(seed)
     pde = pde_operator()
     pairs = (
         (1, pde * lowering_op_i(), lowering_op_i_shifted() * pde),
@@ -400,12 +394,11 @@ def verify_operator_conjugations(orders: int, seed: int, count: int = 10) -> Ver
     for idx in range(count):
         s = _random_series(rng, orders, orders)
         for case, lhs_op, rhs_op in pairs:
-            started = time.perf_counter()
             got = apply_op(lhs_op, s)
             want = apply_op(rhs_op, s)
             report.add(_series_record(
                 "lemma360", {"case": case, "orders": orders, "seed": seed, "sample": idx},
-                got, want, started))
+                got, want))
     return report
 
 
@@ -447,26 +440,23 @@ def verify_injectivity(orders: int, seed: int, count: int = 10) -> VerificationR
     image on the valid region; inputs are restricted so their support lies
     inside the image region).
     """
-    rng = random.Random(seed)
     report = VerificationReport()
+    rng = random.Random(seed)
     ops = ((1, lowering_op_i_shifted()), (2, lowering_op_ii_shifted()))
 
     # Recurrence route, on a fixed input so the seeded samples below stay put.
-    started = time.perf_counter()
     fixed = _inside_image(lambda n, k: QRat(n + 2 * k + 1), orders)
     disc = next(filter(None, (_solve_shifted_lowering(case, apply_op(op, fixed))
                               .first_discrepancy(fixed) for case, op in ops)), None)
     report.add(Record("lemma370", {"check": "kernel_recurrence", "orders": orders},
                       "pass" if disc is None else "fail",
-                      witness=None if disc is None else witness_from_qrat(disc[2]),
-                      wall_ms=(time.perf_counter() - started) * 1000.0))
+                      witness=None if disc is None else witness_from_qrat(disc[2])))
 
     for idx in range(count):
         masked = _inside_image(_random_series(rng, orders, orders).coeff, orders)
         if masked.is_zero():
             continue
         for case, op in ops:
-            started = time.perf_counter()
             image = apply_op(op, masked)
             ok = not image.is_zero()
             report.add(Record(
@@ -474,8 +464,7 @@ def verify_injectivity(orders: int, seed: int, count: int = 10) -> VerificationR
                 {"check": "injectivity", "case": case, "orders": orders,
                  "seed": seed, "sample": idx},
                 "pass" if ok else "fail",
-                valid_region=list(image.valid_region),
-                wall_ms=(time.perf_counter() - started) * 1000.0))
+                valid_region=list(image.valid_region)))
     return report
 
 
@@ -483,8 +472,8 @@ def verify_product_identity(orders: int, seed: int, count: int = 5,
                             harmonic_weights: int = 0) -> VerificationReport:
     """F_a = f_a * e(Y) for random sequences (and harmonic ones when asked),
     plus the zero residual of F_a under the annihilating operator."""
-    rng = random.Random(seed)
     report = VerificationReport()
+    rng = random.Random(seed)
     seqs: list[tuple[dict, QSeq]] = []
     for idx in range(count):
         seqs.append(({"kind": "random", "seed": seed, "sample": idx},
@@ -493,22 +482,21 @@ def verify_product_identity(orders: int, seed: int, count: int = 5,
         for mu in enumerate_by_weight(w):
             seqs.append(({"kind": "harmonic", "mu": list(mu)}, a_seq(mu)))
     for params, seq in seqs:
-        started = time.perf_counter()
         F = F_a_series(seq, orders, orders)
         prod = series_mul(f_a_series(seq, orders, orders), q_exp(orders, orders))
         report.add(_series_record("prop240", {**params, "orders": orders, "check": "product"},
-                                  F, prod, started))
-        started = time.perf_counter()
-        report.add(_zero_series_record(
+                                  F, prod))
+        residual = pde_residual(F)
+        report.add(_series_record(
             "prop240", {**params, "orders": orders, "check": "pde_residual"},
-            pde_residual(F), started))
+            residual, BiSeries.zero(*residual.valid_region)))
     return report
 
 
 def verify_closed_difference(grid: int, seed: int, count: int = 5) -> VerificationReport:
     """Closed alternating-sum form of the k-th difference == iterated form."""
-    rng = random.Random(seed)
     report = VerificationReport()
+    rng = random.Random(seed)
     for idx in range(count):
         seq = _random_seq(rng, 2 * grid + 2)
         iterated = [seq]
@@ -516,11 +504,10 @@ def verify_closed_difference(grid: int, seed: int, count: int = 5) -> Verificati
             iterated.append(delta_z(iterated[-1], q_power(i)))
         for n in range(grid + 1):
             for k in range(grid + 1):
-                started = time.perf_counter()
                 report.add(_qrat_record(
                     "cor250",
                     {"seed": seed, "sample": idx, "n": n, "k": k},
-                    delta_qk_closed(seq, n, k), iterated[k](n), started))
+                    delta_qk_closed(seq, n, k), iterated[k](n)))
     return report
 
 
@@ -532,12 +519,11 @@ def eval_crosscheck(mu: MultiIndex, n: int, k: int,
     the defining chains in Fraction arithmetic, and both symbolic values
     evaluated at the point.  A point hitting a vanishing q-integer is skipped.
     """
+    report = VerificationReport()  # the first record also carries the symbolic values
     mu = MultiIndex(mu)
     dual = mu.dual()
-    started = time.perf_counter()  # the first record also carries the symbolic values
     symbolic_lhs = delta_qk_closed(a_seq(mu), n, k)
     symbolic_rhs = c_value(mu, dual, n, k)
-    report = VerificationReport()
     for q0 in q_points:
         q0 = Fraction(q0)
         params = {"mu": list(mu), "n": n, "k": k, "q": str(q0)}
@@ -554,9 +540,7 @@ def eval_crosscheck(mu: MultiIndex, n: int, k: int,
                                                   str(sym_lhs), str(sym_rhs)]}
             rec = Record("main", {**params, "check": "eval"},
                          "pass" if ok else "fail", witness=witness)
-        rec.wall_ms = (time.perf_counter() - started) * 1000.0
         report.add(rec)
-        started = time.perf_counter()
     return report
 
 

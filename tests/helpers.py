@@ -1,5 +1,5 @@
 """Shared test oracles: brute-force chain enumeration, independent of the
-suffix-recursion implementations under test."""
+c suffix recursion under test (a and b are computed as one-block c sums)."""
 
 from __future__ import annotations
 

@@ -17,7 +17,6 @@ from qharmonic.exactq import (
     PoleError,
     QPoly,
     QRat,
-    Rational,
     poly_gcd,
     q_binomial,
     q_factorial,
@@ -27,9 +26,9 @@ from qharmonic.exactq import (
 
 
 def test_rational_invariants():
-    x = Rational(6, -4)
+    x = Fraction(6, -4)
     assert x.numerator == -3 and x.denominator == 2
-    assert Rational(0, 7) == Rational(0, 1)
+    assert Fraction(0, 7) == Fraction(0, 1)
     assert math.gcd(abs(x.numerator), x.denominator) == 1
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -78,6 +79,34 @@ class TestBValues:
             for mu in enumerate_by_weight(m):
                 for n in range(5):
                     assert b_value(mu, n) == brute_b(mu, n), (mu, n)
+
+
+def test_a_and_b_accept_a_plain_list():
+    mu = MultiIndex((1, 1))
+    assert a_value([1, 1], 2) == a_value(mu, 2)
+    assert b_value([1, 1], 2) == b_value(mu, 2)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_no_recursion_as_deep_as_n():
+    # Chain recursions are as deep as the weight and q_factorial is a loop, so
+    # a few dozen frames of headroom suffice at n + k >= 40.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        mu = MultiIndex((1, 1))
+        a = a_value(mu, 40)
+        b = b_value(mu, 40)
+        c = c_value(mu, MultiIndex((2,)), 21, 22)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert a.den.degree > 40 and b.den.degree > 40 and c.den.degree > 40
 
 
 class TestCValues:

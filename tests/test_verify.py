@@ -5,9 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,13 +78,13 @@ class TestConfig:
 
 class TestRecordsAndWitnesses:
     def test_passing_record(self):
-        rec = _qrat_record("main", {"n": 0}, QRat(1), QRat(1), time.perf_counter())
+        rec = _qrat_record("main", {"n": 0}, QRat(1), QRat(1))
         assert rec.status == "pass" and rec.witness is None
 
     def test_failing_record_carries_exact_witness(self):
         lhs = QRat(QPoly((0, 1)), QPoly((1, 1)))
         rhs = QRat(QPoly((1,)), QPoly((1, 1)))
-        rec = _qrat_record("main", {"n": 0}, lhs, rhs, time.perf_counter())
+        rec = _qrat_record("main", {"n": 0}, lhs, rhs)
         assert rec.status == "fail"
         diff = qrat_from_witness(rec.witness)
         assert diff == lhs - rhs
@@ -94,7 +94,7 @@ class TestRecordsAndWitnesses:
         # sanity contract: a failure witness survives numeric re-evaluation
         lhs = QRat(QPoly((0, 0, 3)), QPoly((1, 2, 1)))
         rhs = QRat(QPoly((1,)), QPoly((1, 1)))
-        rec = _qrat_record("main", {}, lhs, rhs, time.perf_counter())
+        rec = _qrat_record("main", {}, lhs, rhs)
         diff = qrat_from_witness(rec.witness)
         rng = random.Random(5)
         values = []
@@ -109,6 +109,46 @@ class TestRecordsAndWitnesses:
     def test_witness_roundtrip(self):
         value = QRat(QPoly((1, -2, Fraction(1, 3))), QPoly((0, 0, 1)))
         assert qrat_from_witness(witness_from_qrat(value)) == value
+
+
+class TestRecordClock:
+    """The report stamps wall_ms; a fake clock makes the stamps exact."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        now = [0.0]
+        monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        return now
+
+    @pytest.fixture
+    def slow_c_value(self, monkeypatch, clock):
+        # Each c_value call an identity check makes costs exactly 2 fake seconds.
+        def fake(*args):
+            clock[0] += 2.0
+            return c_value(*args)
+        monkeypatch.setattr(verify, "c_value", fake)
+
+    def test_add_stamps_time_since_previous_add(self, clock):
+        rep = VerificationReport()
+        clock[0] += 0.5
+        rep.add(Record("main", {}, "pass"))
+        clock[0] += 0.25
+        rep.add(Record("main", {}, "pass", wall_ms=99.0))
+        assert [r.wall_ms for r in rep.records] == [500.0, 250.0]
+
+    def test_extend_keeps_stamps(self, clock):
+        rep = VerificationReport()
+        clock[0] += 1.0
+        rep.extend([Record("main", {}, "pass", wall_ms=7.0)])
+        assert rep.records[0].wall_ms == 7.0
+
+    def test_eval_first_record_carries_symbolic_values(self, slow_c_value):
+        rep = eval_crosscheck(MultiIndex((2, 1)), 1, 1, [Fraction(2, 3), Fraction(5)])
+        assert [r.wall_ms for r in rep.records] == [2000.0, 0.0]
+
+    def test_main_records_cover_every_c_value(self, slow_c_value):
+        rep = verify_main_identity(MultiIndex((1, 2)), 1, 1)
+        assert [r.wall_ms for r in rep.records] == [2000.0] * 4
 
 
 class TestIdentityDrivers:
