@@ -7,7 +7,6 @@ independent sampled-evaluation route.
 """
 
 from .exactq import (
-    InexactDivisionError,
     PoleError,
     QPoly,
     QRat,
@@ -28,7 +27,6 @@ from .harmonic import (
     delta_qk_iter,
     delta_z,
     nabla_q,
-    subscript_expansion,
 )
 from .multiindex import (
     MultiIndex,

@@ -24,10 +24,6 @@ from typing import Iterable, Union
 Scalar = Union[int, Fraction]
 
 
-class InexactDivisionError(ArithmeticError):
-    """A polynomial division that was required to be exact left a remainder."""
-
-
 class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a root of its denominator."""
 
@@ -188,34 +184,6 @@ class QPoly:
             base = base * base
             n >>= 1
         return result
-
-    def __divmod__(self, other: QPoly | Scalar) -> tuple[QPoly, QPoly]:
-        other = _as_poly(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lb = other.leading_coefficient
-        quo = [Fraction(0)] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            factor = rem[-1] / lb
-            shift = len(rem) - 1 - db
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return QPoly(quo), QPoly(rem)
-
-    def __mod__(self, other: QPoly | Scalar) -> QPoly:
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: QPoly | Scalar) -> QPoly:
-        """Divide, requiring a zero remainder."""
-        quo, rem = divmod(self, other)
-        if not rem.is_zero:
-            raise InexactDivisionError(f"{self} is not divisible by {other}")
-        return quo
 
     def monic(self) -> QPoly:
         if self.is_zero:
@@ -394,14 +362,21 @@ def q_factorial(n: int) -> QPoly:
 
 @functools.cache
 def q_binomial(n: int, k: int) -> QPoly:
-    """Gaussian binomial coefficient [n choose k]_q, always a polynomial."""
+    """Gaussian binomial coefficient [n choose k]_q, by the q-Pascal recurrence over Z."""
     if n < 0:
         raise ValueError("q_binomial requires n >= 0")
     if k < 0 or k > n:
         raise ValueError(f"q_binomial index k={k} out of range for n={n}")
-    # The factorial quotient must divide exactly; a remainder would mean the
-    # polynomial arithmetic itself is broken, which exact_div surfaces.
-    return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
+    # row[j] holds the integer coefficients of [i choose j] for the current i.
+    row = [[1]] + [[] for _ in range(k)]
+    for i in range(1, n + 1):
+        for j in range(min(i, k), 0, -1):
+            # [i, j] = [i-1, j-1] + q^j [i-1, j], where [i-1, i] = 0
+            nxt = [0] * j + row[j] if row[j] else [0]
+            for d, c in enumerate(row[j - 1]):
+                nxt[d] += c
+            row[j] = nxt
+    return _poly(row[k], 1)
 
 
 class QRat:

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qharmonic import exactq
+from qharmonic.direct import q_binomial_at
 from qharmonic.exactq import (
-    InexactDivisionError,
     PoleError,
     QPoly,
     QRat,
@@ -52,18 +52,6 @@ class TestQPoly:
         assert 2 * p == QPoly((2, 2))
         assert p ** 3 == QPoly((1, 3, 3, 1))
 
-    def test_divmod_and_exact_div(self):
-        num = QPoly((-1, 0, 0, 1))  # q^3 - 1
-        den = QPoly((-1, 1))        # q - 1
-        quo, rem = divmod(num, den)
-        assert rem.is_zero
-        assert quo == QPoly((1, 1, 1))
-        assert num.exact_div(den) == quo
-        with pytest.raises(InexactDivisionError):
-            QPoly((1, 1)).exact_div(QPoly((0, 1)))
-        with pytest.raises(ZeroDivisionError):
-            divmod(num, QPoly())
-
     def test_monic_and_evaluate(self):
         p = QPoly((2, 0, 4))
         assert p.monic() == QPoly((Fraction(1, 2), 0, 1))
@@ -96,6 +84,20 @@ class TestQPrimitives:
             assert q_binomial(n, n) == QPoly((1,))
         assert q_binomial(2, 1) == q_integer(2)
         assert q_binomial(4, 2) == QPoly((1, 1, 2, 1, 1))
+
+    def test_q_binomial_times_factorials_is_factorial(self):
+        # Independent of the q-Pascal recurrence that builds the binomials.
+        for n in range(13):
+            for k in range(n + 1):
+                b = q_binomial(n, k)
+                assert b * q_factorial(k) * q_factorial(n - k) == q_factorial(n), (n, k)
+                assert b == q_binomial(n, n - k), (n, k)
+
+    def test_q_binomial_matches_direct_point_values(self):
+        for q0 in (Fraction(2, 3), Fraction(-2)):
+            for n in range(13):
+                for k in range(n + 1):
+                    assert q_binomial(n, k).evaluate(q0) == q_binomial_at(n, k, q0), (q0, n, k)
 
     def test_q_binomial_range_errors(self):
         with pytest.raises(ValueError):
@@ -207,11 +209,30 @@ def test_inverse_and_canonical_idempotence(x):
         assert x.den.leading_coefficient == 1
 
 
+def _fraction_remainder(a: QPoly, b: QPoly) -> QPoly:
+    # Long division of a by a nonzero b over Fraction coefficients; the remainder.
+    rem, db, lead = list(a.coeffs), b.degree, b.leading_coefficient
+    while rem and len(rem) - 1 >= db:
+        factor, shift = rem[-1] / lead, len(rem) - 1 - db
+        for i, c in enumerate(b.coeffs, shift):
+            rem[i] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return QPoly(rem)
+
+
 def _fraction_euclid_gcd(a: QPoly, b: QPoly) -> QPoly:
     # Independent oracle: textbook Euclid directly over Fraction coefficients.
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, _fraction_remainder(a, b)
     return a.monic() if not a.is_zero else a
+
+
+def test_fraction_remainder_oracle():
+    assert _fraction_remainder(QPoly((-1, 0, 0, 1)), QPoly((-1, 1))).is_zero  # (q^3 - 1) / (q - 1)
+    assert _fraction_remainder(QPoly((1, 1)), QPoly((0, 1))) == QPoly((1,))
+    assert _fraction_remainder(QPoly((1, 2)), QPoly((0, 0, 3))) == QPoly((1, 2))
+    assert _fraction_remainder(QPoly((0, 0, 1)), QPoly((2,))).is_zero
 
 
 def test_poly_gcd_against_fraction_euclid():

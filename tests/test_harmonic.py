@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from helpers import brute_a, brute_b, brute_c, random_qrat
+from qharmonic import harmonic
 from qharmonic.exactq import QPoly, QRat, q_factorial, q_integer, q_power
 from qharmonic.harmonic import (
     QSeq,
@@ -20,24 +21,11 @@ from qharmonic.harmonic import (
     delta_qk_iter,
     delta_z,
     nabla_q,
-    subscript_expansion,
 )
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
 
 Q = QPoly.variable()
 ONE_PLUS_Q = QPoly((1, 1))
-
-
-def test_subscript_expansion():
-    assert subscript_expansion(MultiIndex((3, 1))) == (1, 1, 1, 2)
-    assert subscript_expansion(MultiIndex((1, 1, 2))) == (1, 2, 3, 3)
-    for m in range(1, 7):
-        for mu in enumerate_by_weight(m):
-            labels = subscript_expansion(mu)
-            assert len(labels) == mu.weight
-            assert list(labels) == sorted(labels)
-            for block, size in enumerate(mu, start=1):
-                assert labels.count(block) == size
 
 
 class TestAValues:
@@ -85,6 +73,19 @@ def test_a_and_b_accept_a_plain_list():
     mu = MultiIndex((1, 1))
     assert a_value([1, 1], 2) == a_value(mu, 2)
     assert b_value([1, 1], 2) == b_value(mu, 2)
+    assert c_value([1, 1], [2], 1, 1) == c_value(mu, MultiIndex((2,)), 1, 1)
+
+
+def test_suffix_tables_are_shared_across_head_runs():
+    # (2,1) and (3,1) against their one-block partners differ only in the run
+    # before the first block boundary, so the second call reuses every entry
+    # below its head.
+    harmonic._c_value.cache_clear()
+    harmonic._c_suffix.cache_clear()
+    a_value((2, 1), 3)
+    misses = harmonic._c_suffix.cache_info().misses
+    a_value((3, 1), 3)
+    assert harmonic._c_suffix.cache_info().misses == misses + 1
 
 
 def _stack_depth() -> int:
