@@ -24,8 +24,7 @@ from .harmonic import (
     b_value,
     c_value,
     delta_qk_closed,
-    delta_qk_iter,
-    delta_z,
+    delta_qk_table,
     nabla_q,
 )
 from .multiindex import (
@@ -60,7 +59,6 @@ from .qseries import (
     mul_by_var,
     pde_operator,
     pde_residual,
-    pde_solve_from_column,
     q_commutator,
     q_exp,
     q_partial,

@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "campaign":
             return _cmd_campaign(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

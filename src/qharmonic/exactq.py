@@ -176,14 +176,15 @@ class QPoly:
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial; use QRat")
-        result = QPoly.one()
-        base = self
+        # bit_length - 1 squarings and popcount - 1 products, none wasted
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return QPoly.one() if result is None else result
 
     def monic(self) -> QPoly:
         if self.is_zero:

@@ -19,6 +19,10 @@ an entire verification grid.  The recursion is as deep as the number of block
 boundaries, whatever n and k are.  a and b are c sums against a one-block
 partner index, so they share that recursion and its memo.
 
+The q-differences of a sequence have one iterated route, ``delta_qk_table``,
+which fills a whole (n, k) table by the first difference, beside the closed
+Gaussian-binomial sum ``delta_qk_closed``.
+
 All results are canonical QRat values; repeated calls return identical objects
 via the caches, which are transparent to results.
 """
@@ -163,24 +167,21 @@ c_value.cache_info = _c_value.cache_info  # read by the benchmark's tracer
 
 # --- difference operators on sequences ---------------------------------------
 
-def delta_z(seq: QSeq, z: QRat | Scalar) -> QSeq:
-    """The difference operator n -> seq(n) - z * seq(n+1)."""
-    z = _require_rat(z)
-    return QSeq(lambda n: seq(n) - z * seq(n + 1))
+def delta_qk_table(seq: QSeq, n_max: int, k_max: int) -> list[list[QRat]]:
+    """rows[n][k] is the k-th q-difference of seq at n, for n <= n_max, k <= k_max.
 
-
-def delta_qk_iter(seq: QSeq, k: int) -> QSeq:
-    """k-th q-difference as an honest composition of first differences.
-
-    Applies the z = q, q^2, ..., q^k first differences in that order; k = 0 is
-    the identity.
+    Reads seq(0..n_max+k_max) once, then fills column by column, without
+    recursion, from the first difference d(n, k+1) = d(n, k) - q^(k+1) d(n+1, k).
     """
-    if k < 0:
-        raise ValueError("difference order must be non-negative")
-    out = seq
-    for i in range(1, k + 1):
-        out = delta_z(out, q_power(i))
-    return out
+    _require_nonnegative(n_max=n_max, k_max=k_max)
+    column = [seq(n) for n in range(n_max + k_max + 1)]
+    rows = [[value] for value in column[: n_max + 1]]
+    for k in range(k_max):
+        z = q_power(k + 1)
+        column = [column[n] - z * column[n + 1] for n in range(len(column) - 1)]
+        for n, row in enumerate(rows):
+            row.append(column[n])
+    return rows
 
 
 def delta_qk_closed(seq: QSeq, n: int, k: int) -> QRat:

@@ -19,6 +19,9 @@ series.  Operators multiply as compositions (right factor applied first), add
 pointwise, and admit scalar multiples from Q(q), which lets the package spell
 composite operators the way the identities state them, e.g.
 ``q * PARTIAL_X * LAMBDA_Y + PARTIAL_Y - 1``.
+
+``F_a_series`` stays on the closed difference form, and one private generator
+expands the shifted products behind both ``qshift_product`` and ``f_a_series``.
 """
 
 from __future__ import annotations
@@ -213,6 +216,21 @@ def q_exp(valid_x: int, valid_y: int) -> BiSeries:
                                   valid_x, valid_y)
 
 
+def _shift_products(first: int, last: int) -> Iterator[dict[tuple[int, int], QPoly]]:
+    """(X - q^first Y)...(X - q^j Y) for j = first-1, ..., last, starting from the
+    empty product 1, each as a map (i, j) -> coefficient of X^i Y^j."""
+    coeffs: dict[tuple[int, int], QPoly] = {(0, 0): QPoly.one()}
+    yield coeffs
+    for j in range(first, last + 1):
+        nxt: dict[tuple[int, int], QPoly] = {}
+        qj = QPoly.monomial(1, j)
+        for (i, jj), c in coeffs.items():
+            nxt[(i + 1, jj)] = nxt.get((i + 1, jj), QPoly.zero()) + c
+            nxt[(i, jj + 1)] = nxt.get((i, jj + 1), QPoly.zero()) - qj * c
+        coeffs = nxt
+        yield coeffs
+
+
 def qshift_product(first: int, last: int, valid_x: int, valid_y: int) -> BiSeries:
     """The polynomial (X - q^first Y)(X - q^(first+1) Y) ... (X - q^last Y).
 
@@ -221,14 +239,7 @@ def qshift_product(first: int, last: int, valid_x: int, valid_y: int) -> BiSerie
     """
     if first < 1:
         raise ValueError("shift exponents start at 1")
-    coeffs: dict[tuple[int, int], QPoly] = {(0, 0): QPoly.one()}
-    for j in range(first, last + 1):
-        nxt: dict[tuple[int, int], QPoly] = {}
-        qj = QPoly.monomial(1, j)
-        for (i, jj), c in coeffs.items():
-            nxt[(i + 1, jj)] = nxt.get((i + 1, jj), QPoly.zero()) + c
-            nxt[(i, jj + 1)] = nxt.get((i, jj + 1), QPoly.zero()) - qj * c
-        coeffs = nxt
+    *_, coeffs = _shift_products(first, last)
 
     def coeff(n: int, k: int) -> QRat:
         mono = coeffs.get((n, k))
@@ -243,21 +254,11 @@ def f_a_series(seq: QSeq, valid_x: int, valid_y: int) -> BiSeries:
     """The series sum_n seq(n) (X - qY)...(X - q^n Y) / [n]_q!.
 
     Each product is expanded in the monomial basis and converted to
-    divided-power coefficients; terms of total degree beyond the requested
-    region cannot touch it, so the truncation is exact.
+    divided-power coefficients; the n-th is homogeneous of degree n, so none
+    past n = valid_x + valid_y touches the region and the truncation is exact.
     """
     rows = [[QRAT_ZERO] * (valid_y + 1) for _ in range(valid_x + 1)]
-    coeffs: dict[tuple[int, int], QPoly] = {(0, 0): QPoly.one()}
-    for n in range(valid_x + valid_y + 1):
-        if n > 0:
-            qn = QPoly.monomial(1, n)
-            nxt: dict[tuple[int, int], QPoly] = {}
-            for (i, jj), c in coeffs.items():
-                if i + jj >= valid_x + valid_y + 1:
-                    continue
-                nxt[(i + 1, jj)] = nxt.get((i + 1, jj), QPoly.zero()) + c
-                nxt[(i, jj + 1)] = nxt.get((i, jj + 1), QPoly.zero()) - qn * c
-            coeffs = nxt
+    for n, coeffs in enumerate(_shift_products(1, valid_x + valid_y)):
         an = seq(n)
         if an.is_zero:
             continue
@@ -269,7 +270,10 @@ def f_a_series(seq: QSeq, valid_x: int, valid_y: int) -> BiSeries:
 
 
 def F_a_series(seq: QSeq, valid_x: int, valid_y: int) -> BiSeries:
-    """Generating series of all q-differences of seq: a(n,k) = k-th difference at n."""
+    """Generating series of all q-differences of seq: a(n,k) = k-th difference at n.
+
+    Closed form on purpose: from the recurrence, prop240's residual check could not fail.
+    """
     return BiSeries.from_function(lambda n, k: delta_qk_closed(seq, n, k),
                                   valid_x, valid_y)
 
@@ -406,18 +410,3 @@ def lowering_op_ii_shifted() -> SeriesOp:
 def pde_residual(s: BiSeries) -> BiSeries:
     """Residual array q^(k+1) a(n+1,k) + a(n,k+1) - a(n,k) on the shrunk region."""
     return pde_operator().apply(s)
-
-
-def pde_solve_from_column(column: QSeq | list, valid_x: int, valid_y: int) -> list[list[QRat]]:
-    """Unique triangular solution of the annihilation recurrence from column k=0.
-
-    Returns rows[n][k] for n + k <= valid_x, k <= valid_y, built from
-    a(n, k+1) = a(n, k) - q^(k+1) a(n+1, k).  Used for kernel-triviality checks:
-    a zero first column forces the zero triangle.
-    """
-    col = column if isinstance(column, QSeq) else QSeq.from_values(column)
-    rows: list[list[QRat]] = [[col(n)] for n in range(valid_x + 1)]
-    for k in range(min(valid_y, valid_x)):
-        for n in range(valid_x - k):
-            rows[n].append(rows[n][k] - q_power(k + 1) * rows[n + 1][k])
-    return [rows[n][: min(valid_y, valid_x - n) + 1] for n in range(valid_x + 1)]

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import direct
 from .exactq import QRAT_ZERO, PoleError, QPoly, QRat, q_integer, q_power
-from .harmonic import QSeq, a_seq, b_value, c_value, delta_qk_closed, delta_z, nabla_q
+from .harmonic import QSeq, a_seq, b_value, c_value, delta_qk_closed, delta_qk_table, nabla_q
 from .multiindex import MultiIndex, enumerate_by_weight
 from .qseries import (
     BiSeries,
@@ -138,12 +138,15 @@ def parse_config_text(text: str) -> CampaignConfig:
         if key not in {f.name for f in fields(CampaignConfig)}:
             raise ValueError(f"unknown config key: {key!r}")
         items = tuple(t.strip() for t in val.split(",") if t.strip())
-        if key == "identities":
-            values[key] = items
-        elif key == "eval_points":
-            values[key] = tuple(Fraction(t) for t in items)
-        else:
-            values[key] = int(val)
+        try:
+            if key == "identities":
+                values[key] = items
+            elif key == "eval_points":
+                values[key] = tuple(Fraction(t) for t in items)
+            else:
+                values[key] = int(val)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad value for config key {key!r}: {val!r} ({exc})") from None
     config = replace(CampaignConfig(), **values)
     config.validate()
     return config
@@ -278,9 +281,7 @@ def verify_main_identity(mu: MultiIndex, n_max: int, k_max: int) -> Verification
     mu = MultiIndex(mu)
     dual = mu.dual()
     seq = a_seq(mu)
-    iterated = [seq]
-    for i in range(1, k_max + 1):
-        iterated.append(delta_z(iterated[-1], q_power(i)))
+    iterated = delta_qk_table(seq, n_max, k_max)
     for n in range(n_max + 1):
         for k in range(k_max + 1):
             closed = delta_qk_closed(seq, n, k)
@@ -288,7 +289,7 @@ def verify_main_identity(mu: MultiIndex, n_max: int, k_max: int) -> Verification
             params = {"mu": list(mu), "n": n, "k": k}
             rec = _qrat_record("main", params, closed, rhs)
             if rec.status == "pass":
-                stepped = iterated[k](n)
+                stepped = iterated[n][k]
                 if stepped != closed:
                     rec = Record("main", {**params, "check": "iterated_vs_closed"},
                                  "fail", witness_from_qrat(stepped - closed))
@@ -499,15 +500,13 @@ def verify_closed_difference(grid: int, seed: int, count: int = 5) -> Verificati
     rng = random.Random(seed)
     for idx in range(count):
         seq = _random_seq(rng, 2 * grid + 2)
-        iterated = [seq]
-        for i in range(1, grid + 1):
-            iterated.append(delta_z(iterated[-1], q_power(i)))
+        iterated = delta_qk_table(seq, grid, grid)
         for n in range(grid + 1):
             for k in range(grid + 1):
                 report.add(_qrat_record(
                     "cor250",
                     {"seed": seed, "sample": idx, "n": n, "k": k},
-                    delta_qk_closed(seq, n, k), iterated[k](n)))
+                    delta_qk_closed(seq, n, k), iterated[n][k]))
     return report
 
 

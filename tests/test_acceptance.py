@@ -17,7 +17,7 @@ from qharmonic.harmonic import (
     a_seq,
     c_value,
     delta_qk_closed,
-    delta_z,
+    delta_qk_table,
 )
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
 from qharmonic.qseries import (
@@ -34,7 +34,6 @@ from qharmonic.qseries import (
     lowering_op_ii_shifted,
     pde_operator,
     pde_residual,
-    pde_solve_from_column,
     q_commutator,
     q_partial,
     qshift_product,
@@ -183,8 +182,8 @@ def test_criterion_7_difference_calculus_suite():
             assert got_y.agrees_with(want_y), (m, n)
 
     # kernel triviality: zero first column forces the zero triangle
-    triangle = pde_solve_from_column([0] * 7, 6, 6)
-    assert all(c.is_zero for row in triangle for c in row)
+    table = delta_qk_table(QSeq.from_values([0] * 7, tail=1), 6, 6)
+    assert all(table[n][k].is_zero for n in range(7) for k in range(7 - n))
 
     # kernel triviality of the shifted lowering operators on truncations:
     # back-substituting the kernel recurrences recovers the input exactly

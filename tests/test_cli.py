@@ -134,6 +134,25 @@ def test_campaign_bad_config(tmp_path, capsys):
     assert "unknown identities" in err
 
 
+def test_campaign_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    code, _, err = run_cli(capsys, "campaign", "--config", str(missing))
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_campaign_json_in_missing_directory(tmp_path, capsys):
+    config = tmp_path / "campaign.cfg"
+    config.write_text("max_weight = 1\nmax_k = 0\nidentities = duality\n", encoding="utf-8")
+    report_path = tmp_path / "absent" / "report.json"
+    code, _, err = run_cli(capsys, "campaign", "--config", str(config),
+                           "--json", str(report_path))
+    assert code == 2
+    assert err.startswith("error: ") and str(report_path) in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -52,6 +52,24 @@ class TestQPoly:
         assert 2 * p == QPoly((2, 2))
         assert p ** 3 == QPoly((1, 3, 3, 1))
 
+    def test_power_takes_square_and_multiply_products(self, monkeypatch):
+        p = QPoly((1, -2, Fraction(1, 3)))
+        mul = QPoly.__mul__
+        calls = []
+
+        def counting_mul(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(QPoly, "__mul__", counting_mul)
+        want = QPoly.one()
+        for n in range(10):
+            calls.clear()
+            assert p ** n == want, n
+            # a square per bit below the top one, a product per set bit past the first
+            assert len(calls) <= max(0, n.bit_length() + bin(n).count("1") - 2), n
+            want = mul(want, p)
+
     def test_monic_and_evaluate(self):
         p = QPoly((2, 0, 4))
         assert p.monic() == QPoly((Fraction(1, 2), 0, 1))

@@ -18,8 +18,7 @@ from qharmonic.harmonic import (
     b_value,
     c_value,
     delta_qk_closed,
-    delta_qk_iter,
-    delta_z,
+    delta_qk_table,
     nabla_q,
 )
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
@@ -166,38 +165,41 @@ class TestCValues:
 
 
 class TestDifferenceOperators:
-    def test_delta_z_zero_is_identity(self):
-        seq = a_seq(MultiIndex((2, 1)))
-        shifted = delta_z(seq, 0)
+    def test_first_difference_of_constant(self):
+        table = delta_qk_table(QSeq.constant(1), 4, 1)
         for n in range(5):
-            assert shifted(n) == seq(n)
+            assert table[n][1] == QRat(QPoly((1, -1)))
 
-    def test_delta_z_on_constant(self):
-        const = QSeq.constant(1)
-        out = delta_z(const, q_power(1))
-        for n in range(5):
-            assert out(n) == QRat(QPoly((1, -1)))
-
-    def test_delta_z_telescopes_single_harmonic(self):
-        out = delta_z(a_seq(MultiIndex((1,))), q_power(1))
+    def test_first_difference_telescopes_single_harmonic(self):
+        table = delta_qk_table(a_seq(MultiIndex((1,))), 5, 1)
         for n in range(6):
-            assert out(n) == QRat(QPoly.one(), q_integer(n + 1) * q_integer(n + 2))
+            assert table[n][1] == QRat(QPoly.one(), q_integer(n + 1) * q_integer(n + 2))
 
     def test_iterated_identity_and_single_step(self):
         seq = a_seq(MultiIndex((1, 2)))
-        assert delta_qk_iter(seq, 0) is seq
-        one_step = delta_qk_iter(seq, 1)
-        direct = delta_z(seq, q_power(1))
+        assert delta_qk_table(seq, 3, 0) == [[seq(n)] for n in range(4)]
+        table = delta_qk_table(seq, 3, 2)
+        assert len(table) == 4 and all(len(row) == 3 for row in table)
         for n in range(4):
-            assert one_step(n) == direct(n)
-        with pytest.raises(ValueError):
-            delta_qk_iter(seq, -1)
+            assert table[n][0] == seq(n)
+            assert table[n][1] == seq(n) - q_power(1) * seq(n + 1)
+        for n in range(3):
+            assert table[n][2] == table[n][1] - q_power(2) * table[n + 1][1]
+        with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+            delta_qk_table(seq, 3, -1)
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            delta_qk_table(seq, -1, 3)
+
+    def test_table_reads_only_the_needed_prefix(self):
+        reads = []
+        delta_qk_table(QSeq(lambda n: reads.append(n) or QRat(n * n - 3)), 4, 2)
+        assert reads == list(range(7))
 
     def test_iterated_matches_closed_on_harmonic(self):
         seq = a_seq(MultiIndex((1,)))
-        two = delta_qk_iter(seq, 2)
+        table = delta_qk_table(seq, 10, 2)
         for n in range(11):
-            assert two(n) == delta_qk_closed(seq, n, 2)
+            assert table[n][2] == delta_qk_closed(seq, n, 2)
 
     def test_closed_small_orders(self):
         seq = a_seq(MultiIndex((3, 1)))
@@ -216,12 +218,10 @@ class TestDifferenceOperators:
         rng = random.Random(23)
         for _ in range(4):
             seq = QSeq.from_values([random_qrat(rng) for _ in range(14)])
-            iterated = [seq]
-            for i in range(1, 7):
-                iterated.append(delta_z(iterated[-1], q_power(i)))
+            table = delta_qk_table(seq, 6, 6)
             for n in range(7):
                 for k in range(7):
-                    assert delta_qk_closed(seq, n, k) == iterated[k](n), (n, k)
+                    assert delta_qk_closed(seq, n, k) == table[n][k], (n, k)
 
 
 class TestNabla:

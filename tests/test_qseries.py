@@ -8,7 +8,7 @@ import pytest
 
 from helpers import random_qrat
 from qharmonic.exactq import QPoly, QRat, q_binomial, q_factorial, q_integer, q_power
-from qharmonic.harmonic import QSeq, a_seq, delta_qk_closed, delta_qk_iter, delta_z
+from qharmonic.harmonic import QSeq, a_seq, delta_qk_closed, delta_qk_table
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
 from qharmonic.qseries import (
     BiSeries,
@@ -33,7 +33,6 @@ from qharmonic.qseries import (
     mul_by_var,
     pde_operator,
     pde_residual,
-    pde_solve_from_column,
     q_commutator,
     q_exp,
     q_partial,
@@ -278,10 +277,10 @@ class TestGeneratingSeries:
     def test_F_for_constant_sequence_matches_iterated_difference(self):
         const = QSeq.constant(1)
         F = F_a_series(const, 5, 5)
+        table = delta_qk_table(const, 5, 5)
         for k in range(6):
-            stepped = delta_qk_iter(const, k)
             for n in range(6):
-                assert F.coeff(n, k) == stepped(n)
+                assert F.coeff(n, k) == table[n][k]
 
     def test_F_annihilated(self):
         rng = random.Random(17)
@@ -367,14 +366,18 @@ class TestLoweringOperators:
 
 class TestKernelTriviality:
     def test_zero_column_forces_zero_triangle(self):
-        triangle = pde_solve_from_column([0] * 7, 6, 6)
-        assert all(c.is_zero for row in triangle for c in row)
+        # the annihilation recurrence a(n, k+1) = a(n, k) - q^(k+1) a(n+1, k)
+        # fills the triangle n + k <= 6 from column 0 at n <= 6 alone, so a
+        # nonzero tail beyond it cannot reach the triangle
+        table = delta_qk_table(QSeq.from_values([0] * 7, tail=1), 6, 6)
+        assert all(table[n][k].is_zero for n in range(7) for k in range(7 - n))
+        assert not table[1][6].is_zero  # n + k = 7 reaches the tail
 
     def test_triangle_reconstructs_differences(self):
         # the recurrence is an independent derivation of the difference array
         seq = a_seq(MultiIndex((2,)))
-        triangle = pde_solve_from_column(seq, 6, 6)
-        for n, row in enumerate(triangle):
+        table = delta_qk_table(seq, 6, 6)
+        for n, row in enumerate(table):
             for k, value in enumerate(row):
                 assert value == delta_qk_closed(seq, n, k), (n, k)
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from qharmonic import direct, verify
-from qharmonic.exactq import PoleError, QPoly, QRat
+from qharmonic.exactq import PoleError, QPoly, QRat, q_power
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
 from qharmonic.qseries import lowering_op_i, lowering_op_ii
@@ -74,6 +74,13 @@ class TestConfig:
             parse_config_text("wibble = 3")
         with pytest.raises(ValueError):
             parse_config_text("just a line")
+
+
+    def test_parse_config_bad_value_names_key_and_value(self):
+        with pytest.raises(ValueError, match=r"'max_n': 'x'"):
+            parse_config_text("max_n = x")
+        with pytest.raises(ValueError, match=r"'eval_points': '1/0'"):
+            parse_config_text("eval_points = 1/0")
 
 
 class TestRecordsAndWitnesses:
@@ -184,6 +191,30 @@ class TestIdentityDrivers:
         [rec] = verify_injectivity(4, DEFAULT_SEED, count=0).records
         assert rec.status == "fail"
         assert not qrat_from_witness(rec.witness).is_zero
+
+    @pytest.mark.parametrize("run", [
+        lambda: verify.verify_closed_difference(3, DEFAULT_SEED, count=2),
+        lambda: verify_main_identity(MultiIndex((2, 1)), 2, 2),
+    ], ids=["cor250", "main"])
+    def test_iterated_difference_checks_fail_for_off_by_one_step(self, monkeypatch, run):
+        # negative control: the first difference with q^(k+2) in place of q^(k+1)
+        def off_by_one_table(seq, n_max, k_max):
+            column = [seq(n) for n in range(n_max + k_max + 1)]
+            rows = [[value] for value in column[: n_max + 1]]
+            for k in range(k_max):
+                z = q_power(k + 2)
+                column = [column[n] - z * column[n + 1] for n in range(len(column) - 1)]
+                for n, row in enumerate(rows):
+                    row.append(column[n])
+            return rows
+
+        monkeypatch.setattr(verify, "delta_qk_table", off_by_one_table)
+        failures = run().failures()
+        assert failures
+        for rec in failures:
+            assert rec.params["k"] >= 1
+            assert rec.identity == "cor250" or rec.params["check"] == "iterated_vs_closed"
+            assert not qrat_from_witness(rec.witness).is_zero
 
     def test_inductive_relations_both_cases(self):
         rep = verify_inductive_relations(MultiIndex((2,)), MultiIndex((1, 1)), 3, 3, 4)
