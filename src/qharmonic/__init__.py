@@ -20,12 +20,10 @@ from .harmonic import (
     QSeq,
     a_seq,
     a_value,
-    b_seq,
     b_value,
     c_value,
     delta_qk_closed,
     delta_qk_table,
-    nabla_q,
 )
 from .multiindex import (
     MultiIndex,

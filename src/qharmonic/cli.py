@@ -116,6 +116,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         config = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
     else:
         config = CampaignConfig()
+    if args.json is not None and not Path(args.json).parent.is_dir():
+        raise ValueError(f"cannot write {args.json}: its directory does not exist")
     report = run_campaign(config)
     if args.json is not None:
         Path(args.json).write_text(report.to_json(), encoding="utf-8")

@@ -39,6 +39,12 @@ def q_binomial_at(n: int, k: int, q0: Fraction) -> Fraction:
     return row[k]
 
 
+def _require_nonnegative(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _chains(head: int, length: int) -> Iterator[tuple[int, ...]]:
     # All weakly decreasing tuples of the given length starting at head.
     if length == 1:
@@ -58,6 +64,7 @@ def _nonzero_q_int(n: int, q0: Fraction) -> Fraction:
 
 def a_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
     """a_mu(n) by full chain enumeration at q = q0."""
+    _require_nonnegative(n=n)
     q0 = Fraction(q0)
     total = Fraction(0)
     for chain in _chains(n, len(mu)):
@@ -71,6 +78,7 @@ def a_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
 
 def b_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
     """b_mu(n) by full chain enumeration at q = q0."""
+    _require_nonnegative(n=n)
     q0 = Fraction(q0)
     total = Fraction(0)
     for chain in _chains(n, len(mu)):
@@ -87,6 +95,7 @@ def c_at(mu: Sequence[int], nu: Sequence[int], n: int, k: int, q0: Scalar) -> Fr
     q0 = Fraction(q0)
     if sum(mu) != sum(nu):
         raise ValueError("weight mismatch")
+    _require_nonnegative(n=n, k=k)
     i_labels: list[int] = []
     for label, size in enumerate(mu):
         i_labels.extend([label] * size)
@@ -110,6 +119,7 @@ def c_at(mu: Sequence[int], nu: Sequence[int], n: int, k: int, q0: Scalar) -> Fr
 
 def delta_closed_a_at(mu: Sequence[int], n: int, k: int, q0: Scalar) -> Fraction:
     """k-th q-difference of a_mu at n, via the alternating binomial sum at q = q0."""
+    _require_nonnegative(n=n, k=k)
     q0 = Fraction(q0)
     total = Fraction(0)
     for i in range(k + 1):

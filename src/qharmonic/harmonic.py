@@ -70,11 +70,6 @@ class QSeq:
         tail_value = _require_rat(tail)
         return cls(lambda n: prefix[n] if n < len(prefix) else tail_value)
 
-    @classmethod
-    def constant(cls, value: QRat | Scalar) -> QSeq:
-        v = _require_rat(value)
-        return cls(lambda n: v)
-
 
 def _require_nonnegative(**values: int) -> None:
     for name, value in values.items():
@@ -98,17 +93,12 @@ def b_value(mu: MultiIndex, n: int) -> QRat:
     """The companion sum b_mu(n), whose numerator shifts live on the inner blocks."""
     mu = MultiIndex(mu)
     _require_nonnegative(n=n)
-    return q_power(mu.length - mu.weight) * c_value(MultiIndex((mu.weight,)), mu, 0, n)
+    return q_power(len(mu) - mu.weight) * c_value(MultiIndex((mu.weight,)), mu, 0, n)
 
 
 def a_seq(mu: MultiIndex) -> QSeq:
     mu = MultiIndex(mu)
     return QSeq(lambda n: a_value(mu, n))
-
-
-def b_seq(mu: MultiIndex) -> QSeq:
-    mu = MultiIndex(mu)
-    return QSeq(lambda n: b_value(mu, n))
 
 
 # --- the double-chain family c ----------------------------------------------
@@ -194,8 +184,3 @@ def delta_qk_closed(seq: QSeq, n: int, k: int) -> QRat:
         coeff = q_binomial(k, i) * QPoly.monomial(sign, i * (i + 1) // 2)
         total = total + QRat(coeff) * seq(n + i)
     return total
-
-
-def nabla_q(seq: QSeq, n: int) -> QRat:
-    """The n-th q-difference of seq evaluated at 0."""
-    return delta_qk_closed(seq, 0, n)

@@ -27,11 +27,6 @@ class MultiIndex(tuple):
         """Sum of the parts."""
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        """Number of parts."""
-        return len(self)
-
     def subset_encode(self) -> frozenset[int]:
         """Partial sums {mu_1, mu_1+mu_2, ...} minus the last; a subset of {1..m-1}."""
         acc = 0

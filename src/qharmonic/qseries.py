@@ -61,7 +61,7 @@ class BiSeries:
 
     __slots__ = ("_rows", "_vx", "_vy")
 
-    def __init__(self, rows, valid_x: int | None = None, valid_y: int | None = None) -> None:
+    def __init__(self, rows) -> None:
         self._rows: tuple[tuple[QRat, ...], ...] = tuple(
             tuple(_require_rat(c) for c in row) for row in rows
         )
@@ -74,10 +74,6 @@ class BiSeries:
         vy = widths.pop() - 1
         if vy < 0:
             raise ValueError("a series needs at least the (0,0) coefficient")
-        if valid_x is not None and valid_x != vx:
-            raise ValueError(f"declared valid_x={valid_x} but rows give {vx}")
-        if valid_y is not None and valid_y != vy:
-            raise ValueError(f"declared valid_y={valid_y} but rows give {vy}")
         self._vx, self._vy = vx, vy
 
     @classmethod
@@ -280,10 +276,6 @@ def F_a_series(seq: QSeq, valid_x: int, valid_y: int) -> BiSeries:
 
 def G_series(mu: MultiIndex, nu: MultiIndex, valid_x: int, valid_y: int) -> BiSeries:
     """Generating series of the double-chain sums: a(n,k) = c_value(mu, nu, n, k)."""
-    mu = MultiIndex(mu)
-    nu = MultiIndex(nu)
-    if mu.weight != nu.weight:
-        raise ValueError(f"weight mismatch: |{mu.as_text()}| != |{nu.as_text()}|")
     return BiSeries.from_function(lambda n, k: c_value(mu, nu, n, k),
                                   valid_x, valid_y)
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import direct
 from .exactq import QRAT_ZERO, PoleError, QPoly, QRat, q_integer, q_power
-from .harmonic import QSeq, a_seq, b_value, c_value, delta_qk_closed, delta_qk_table, nabla_q
+from .harmonic import QSeq, a_seq, b_value, c_value, delta_qk_closed, delta_qk_table
 from .multiindex import MultiIndex, enumerate_by_weight
 from .qseries import (
     BiSeries,
@@ -198,11 +198,9 @@ class VerificationReport:
     other reports and keeps their stamps.
     """
 
-    def __init__(self, config: CampaignConfig | None = None,
-                 seed: int = DEFAULT_SEED) -> None:
+    def __init__(self, config: CampaignConfig | None = None) -> None:
         self.records: list[Record] = []
         self.config = config
-        self.seed = seed
         self._clock = time.perf_counter()
 
     def add(self, record: Record) -> None:
@@ -231,7 +229,7 @@ class VerificationReport:
     def to_dict(self, include_timing: bool = True) -> dict:
         return {
             "schema": SCHEMA_VERSION,
-            "random_seed": self.seed,
+            "random_seed": DEFAULT_SEED,
             "config": self.config.to_dict() if self.config else None,
             "summary": self.counts,
             "records": [r.to_dict(include_timing) for r in self.records],
@@ -304,7 +302,7 @@ def verify_duality(mu: MultiIndex, k_max: int) -> VerificationReport:
     dual = mu.dual()
     seq = a_seq(mu)
     for k in range(k_max + 1):
-        lhs = nabla_q(seq, k)
+        lhs = delta_qk_closed(seq, 0, k)
         rhs = b_value(dual, k)
         report.add(_qrat_record("duality", {"mu": list(mu), "k": k}, lhs, rhs))
     return report
@@ -583,7 +581,7 @@ def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
     config.validate()
     tasks = [task for tokens, build in FAMILIES
              if set(tokens) & set(config.identities) for task in build(config)]
-    report = VerificationReport(config=config, seed=DEFAULT_SEED)
+    report = VerificationReport(config=config)
     if config.parallelism == 1:
         for task in tasks:
             report.extend(_run_task(task))

@@ -67,7 +67,7 @@ def test_criterion_1_dual_combinatorics():
         for mu in enumerate_by_weight(m):
             dual = mu.dual()
             assert dual.dual() == mu
-            assert (mu.length - 1) + (dual.length - 1) == mu.weight - 1
+            assert (len(mu) - 1) + (len(dual) - 1) == mu.weight - 1
             if m >= 2:
                 assert mu.minus_reduce().dual() == dual.minus_reduce()
     _report(1, "dual examples, involution, length and reduction laws to weight 8",

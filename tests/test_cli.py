@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from qharmonic import cli
 from qharmonic.cli import main
-from qharmonic.verify import IDENTITY_TOKENS, CampaignConfig
+from qharmonic.verify import IDENTITY_TOKENS, CampaignConfig, VerificationReport
 
 SERIES_TOKENS = ("thm380", "lemma360", "lemma370", "prop240")
 
@@ -156,3 +157,14 @@ def test_campaign_json_in_missing_directory(tmp_path, capsys):
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_campaign_json_directory_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_campaign",
+                        lambda config: calls.append(config) or VerificationReport(config))
+    report_path = tmp_path / "absent" / "report.json"
+    code, _, err = run_cli(capsys, "campaign", "--json", str(report_path))
+    assert code == 2
+    assert err.startswith("error: ") and str(report_path) in err
+    assert calls == []

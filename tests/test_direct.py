@@ -1,0 +1,48 @@
+"""The direct evaluation route: input checks and independence from Q(q)."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from qharmonic import direct
+
+Q0 = Fraction(2)
+MU = (1, 1)
+NU = (2,)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: direct.a_at(MU, -1, Q0), "n must be >= 0, got -1"),
+    (lambda: direct.b_at(MU, -1, Q0), "n must be >= 0, got -1"),
+    (lambda: direct.c_at(MU, NU, -1, 0, Q0), "n must be >= 0, got -1"),
+    (lambda: direct.c_at(MU, NU, 0, -1, Q0), "k must be >= 0, got -1"),
+    (lambda: direct.delta_closed_a_at(MU, -1, 2, Q0), "n must be >= 0, got -1"),
+    (lambda: direct.delta_closed_a_at(MU, 0, -1, Q0), "k must be >= 0, got -1"),
+], ids=["a_at", "b_at", "c_at-n", "c_at-k", "delta_closed_a_at-n", "delta_closed_a_at-k"])
+def test_negative_index_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_imports_only_stdlib_and_two_kernel_names():
+    # The cross-check route must not reach harmonic, qseries or verify.
+    tree = ast.parse(Path(direct.__file__).read_text(encoding="utf-8"))
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            ok = all(alias.name.split(".")[0] in sys.stdlib_module_names for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            ok = ((node.level, node.module) == (1, "exactq")
+                  and {alias.name for alias in node.names} <= {"PoleError", "Scalar"})
+        elif isinstance(node, ast.ImportFrom):
+            ok = node.module.split(".")[0] in sys.stdlib_module_names
+        else:
+            continue
+        if not ok:
+            outside.append(ast.unparse(node))
+    assert not outside, outside

@@ -26,7 +26,7 @@ def test_construction_validation():
 def test_weight_and_length():
     mu = MultiIndex((3, 1, 2))
     assert mu.weight == 6
-    assert mu.length == 3 == len(mu)
+    assert len(mu) == 3
 
 
 def test_subset_encode_examples():
@@ -84,7 +84,7 @@ def test_duality_properties_through_weight_8():
             dual = mu.dual()
             assert dual.dual() == mu
             assert dual.weight == mu.weight
-            assert (mu.length - 1) + (dual.length - 1) == mu.weight - 1
+            assert (len(mu) - 1) + (len(dual) - 1) == mu.weight - 1
             if m >= 2:
                 assert mu.minus_reduce().dual() == dual.minus_reduce()
             assert subset_decode(m, mu.subset_encode()) == mu

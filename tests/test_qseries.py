@@ -275,7 +275,7 @@ class TestGeneratingSeries:
             assert F.coeff(n, 0) == seq(n)
 
     def test_F_for_constant_sequence_matches_iterated_difference(self):
-        const = QSeq.constant(1)
+        const = QSeq.from_values((), tail=1)
         F = F_a_series(const, 5, 5)
         table = delta_qk_table(const, 5, 5)
         for k in range(6):

@@ -15,7 +15,7 @@ from qharmonic import direct, verify
 from qharmonic.exactq import PoleError, QPoly, QRat, q_power
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
-from qharmonic.qseries import lowering_op_i, lowering_op_ii
+from qharmonic.qseries import LAMBDA_Y, PARTIAL_X, PARTIAL_Y, apply_op, lowering_op_i, lowering_op_ii
 from qharmonic.verify import (
     CampaignConfig,
     DEFAULT_SEED,
@@ -33,6 +33,14 @@ from qharmonic.verify import (
     verify_main_identity,
     witness_from_qrat,
 )
+
+# Negative controls: token -> (name rebound in verify, a wrong ingredient).
+NEGATIVE_CONTROLS = {
+    # b at mu in place of mu*; verify_duality passes mu*, whose dual is mu
+    "duality": ("b_value", lambda index, k: b_value(MultiIndex(index).dual(), k)),
+    # dX LY + dY - 1, the annihilating operator without the q of q dX LY
+    "thm380": ("pde_residual", lambda s: apply_op(PARTIAL_X * LAMBDA_Y + PARTIAL_Y - 1, s)),
+}
 
 SMALL = CampaignConfig(max_weight=3, max_n=2, max_k=2, series_orders=4,
                        series_max_weight=2, parallelism=1)
@@ -214,6 +222,18 @@ class TestIdentityDrivers:
         for rec in failures:
             assert rec.params["k"] >= 1
             assert rec.identity == "cor250" or rec.params["check"] == "iterated_vs_closed"
+            assert not qrat_from_witness(rec.witness).is_zero
+
+    @pytest.mark.parametrize("token", list(NEGATIVE_CONTROLS))
+    def test_family_fails_under_its_negative_control(self, monkeypatch, token):
+        name, mutant = NEGATIVE_CONTROLS[token]
+        monkeypatch.setattr(verify, name, mutant)
+        failures = run_campaign(CampaignConfig(
+            max_weight=3, max_k=2, series_orders=3, series_max_weight=3,
+            identities=(token,), eval_points=())).failures()
+        assert failures
+        for rec in failures:
+            assert rec.identity == token
             assert not qrat_from_witness(rec.witness).is_zero
 
     def test_inductive_relations_both_cases(self):
