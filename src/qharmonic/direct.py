@@ -18,14 +18,13 @@ from typing import Iterator, Sequence
 from .exactq import PoleError, Scalar
 
 
-def q_int_at(n: int, q0: Fraction) -> Fraction:
-    """1 + q0 + ... + q0^(n-1)."""
-    acc = Fraction(0)
-    p = Fraction(1)
-    for _ in range(n):
-        acc += p
+def _q_ints_at(top: int, q0: Fraction) -> list[Fraction]:
+    """[0]_q, [1]_q, ..., [top]_q at q = q0, each [j]_q = 1 + q0 + ... + q0^(j-1)."""
+    out, p = [Fraction(0)], Fraction(1)
+    for _ in range(top):
+        out.append(out[-1] + p)
         p *= q0
-    return acc
+    return out
 
 
 def q_binomial_at(n: int, k: int, q0: Fraction) -> Fraction:
@@ -55,23 +54,24 @@ def _chains(head: int, length: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _nonzero_q_int(n: int, q0: Fraction) -> Fraction:
-    v = q_int_at(n, q0)
-    if v == 0:
-        raise PoleError(f"[{n}]_q vanishes at q = {q0}")
-    return v
+def _nonzero(q_ints: list[Fraction], j: int, q0: Fraction) -> Fraction:
+    # A vanishing [j]_q is a pole only where a denominator actually uses it.
+    if not q_ints[j]:
+        raise PoleError(f"[{j}]_q vanishes at q = {q0}")
+    return q_ints[j]
 
 
 def a_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
     """a_mu(n) by full chain enumeration at q = q0."""
     _require_nonnegative(n=n)
     q0 = Fraction(q0)
+    q_ints = _q_ints_at(n + 1, q0)
     total = Fraction(0)
     for chain in _chains(n, len(mu)):
         exp = sum((m - 1) * (c + 1) for m, c in zip(mu, chain))
         den = Fraction(1)
         for m, c in zip(mu, chain):
-            den *= _nonzero_q_int(c + 1, q0) ** m
+            den *= _nonzero(q_ints, c + 1, q0) ** m
         total += q0 ** exp / den
     return total
 
@@ -80,12 +80,13 @@ def b_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
     """b_mu(n) by full chain enumeration at q = q0."""
     _require_nonnegative(n=n)
     q0 = Fraction(q0)
+    q_ints = _q_ints_at(n + 1, q0)
     total = Fraction(0)
     for chain in _chains(n, len(mu)):
         exp = sum(c + 1 for c in chain[1:])
         den = Fraction(1)
         for m, c in zip(mu, chain):
-            den *= _nonzero_q_int(c + 1, q0) ** m
+            den *= _nonzero(q_ints, c + 1, q0) ** m
         total += q0 ** exp / den
     return total
 
@@ -105,6 +106,7 @@ def c_at(mu: Sequence[int], nu: Sequence[int], n: int, k: int, q0: Scalar) -> Fr
     pref = q_binomial_at(n + k, n, q0)
     if pref == 0:
         raise PoleError(f"[{n + k} choose {n}]_q vanishes at q = {q0}")
+    q_ints = _q_ints_at(n + k + 1, q0)
     total = Fraction(0)
     for nchain in _chains(n, len(mu)):
         n_exp = sum((m - 1) * (c + 1) for m, c in zip(mu, nchain))
@@ -112,7 +114,7 @@ def c_at(mu: Sequence[int], nu: Sequence[int], n: int, k: int, q0: Scalar) -> Fr
             exp = n_exp + sum(kchain[1:])
             den = Fraction(1)
             for il, jl in zip(i_labels, j_labels):
-                den *= _nonzero_q_int(nchain[il] + kchain[jl] + 1, q0)
+                den *= _nonzero(q_ints, nchain[il] + kchain[jl] + 1, q0)
             total += q0 ** exp / den
     return total / pref
 

@@ -12,6 +12,12 @@ The arithmetic runs over Z: a polynomial is stored as integer numerators over
 one positive common denominator, and a rational function is reduced with the
 heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, 1989), which falls back to
 the primitive remainder sequence when the heuristic is unlucky.
+
+That full reduction is for outside input.  Two reduced values combine by
+Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): a product
+n1 n2 / d1 d2 cancels only gcd(n1, d2) and gcd(n2, d1); a sum, with
+g = gcd(d1, d2), cancels only gcd(n1 (d2/g) + n2 (d1/g), g).  Inverses and
+powers take no gcd, so no gcd ever sees the double-degree result.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -159,17 +165,9 @@ class QPoly:
             other = _as_poly(other)
         elif not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self._nums, other._nums
-        if not a or not b:
+        if not self._nums or not other._nums:
             return _poly((), 1)
-        if len(a) > len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        return _reduced(out, self._den * other._den)
+        return _reduced(_int_mul(self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -231,6 +229,20 @@ def _as_poly(x: QPoly | Scalar) -> QPoly:
     if isinstance(x, (int, Fraction)):
         return _poly((x.numerator,) if x else (), x.denominator)
     raise TypeError(f"cannot interpret {x!r} as a polynomial in q")
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # Schoolbook product of two nonzero integer coefficient lists.
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return [a[0] * c for c in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
 
 
 def _int_primitive(v: Iterable[int]) -> tuple[list[int], int]:
@@ -298,7 +310,7 @@ def _int_eval(u: list[int], x: int) -> int:
 _HEU_TRIES = 6
 
 
-def _int_gcd(u: list[int], v: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _int_gcd(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     """(h, u/h, v/h) with h = gcd(u, v), for primitive u, v with positive leads.
 
     GCDHEU: evaluate at an integer xi, take the integer gcd of the values and
@@ -322,6 +334,8 @@ def _int_gcd(u: list[int], v: list[int]) -> tuple[list[int], list[int], list[int
                 digits.append(d)
                 gamma = (gamma - d) // xi
             h = _int_primitive(digits)[0]
+            if len(h) == 1:  # a constant divides anything: u and v are coprime
+                return h, u, v
             cu = _int_divide(u, h)
             cv = None if cu is None else _int_divide(v, h)
             if cv is not None:
@@ -404,14 +418,10 @@ class QRat:
         # one scalar on the numerator.
         n_prim, n_cont = _int_primitive(num._nums)
         d_prim, d_cont = _int_primitive(den._nums)
-        if n_cont and len(d_prim) > 1:
+        if n_cont and len(n_prim) > 1 and len(d_prim) > 1:
             _, n_prim, d_prim = _int_gcd(n_prim, d_prim)
-        p, r = n_cont * den._den, d_cont * num._den * d_prim[-1]
-        if r < 0:
-            p, r = -p, -r
-        g = math.gcd(p, r)
-        self._num = _poly([c * (p // g) for c in n_prim], r // g)
-        self._den = _poly(d_prim, d_prim[-1]) if n_cont else QPoly.one()
+        out = _canonical(n_prim, d_prim, n_cont * den._den, d_cont * num._den)
+        self._num, self._den = out._num, out._den
 
     @property
     def num(self) -> QPoly:
@@ -449,8 +459,23 @@ class QRat:
             return NotImplemented
         if other.is_zero or self.is_zero:
             return other if self.is_zero else self
-        return QRat(self._num * other._den + other._num * self._den,
-                    self._den * other._den)
+        n1, d1, p1, r1 = _parts(self)
+        n2, d2, p2, r2 = _parts(other)
+        # Henrici: with g = gcd(d1, d2) and e_i = d_i/g, the sum is t / (e1 e2 g) over
+        # r1 r2 for t = p1 r2 n1 e2 + p2 r1 n2 e1, and only gcd(t, g) can cancel.
+        g, e1, e2 = [1], d1, d2
+        if d1 == d2:
+            g, e1, e2 = d1, [1], [1]
+        elif len(d1) > 1 and len(d2) > 1:
+            g, e1, e2 = _int_gcd(d1, d2)
+        t = (_poly(_int_mul(n1, [p1 * r2 * c for c in e2]), 1)
+             + _poly(_int_mul(n2, [p2 * r1 * c for c in e1]), 1))
+        t, t_cont = _int_primitive(t._nums)
+        if not t_cont:
+            return QRAT_ZERO
+        if len(t) > 1 and len(g) > 1:
+            _, t, g = _int_gcd(t, g)
+        return _canonical(t, _int_mul(_int_mul(e1, e2), g), t_cont, r1 * r2)
 
     __radd__ = __add__
 
@@ -470,7 +495,9 @@ class QRat:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
-        return QRat(self._num * other._num, self._den * other._den)
+        if self.is_zero or other.is_zero:
+            return QRAT_ZERO
+        return _product(_parts(self), _parts(other))
 
     __rmul__ = __mul__
 
@@ -480,7 +507,10 @@ class QRat:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return QRat(self._num * other._den, self._den * other._num)
+        if self.is_zero:
+            return QRAT_ZERO
+        n2, d2, p2, r2 = _parts(other)
+        return _product(_parts(self), (d2, n2, r2, p2))
 
     def __rtruediv__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -489,11 +519,15 @@ class QRat:
         return other / self
 
     def __pow__(self, n: int) -> QRat:
-        if n >= 0:
-            return QRat(self._num ** n, self._den ** n)
-        if self.is_zero:
-            raise ZeroDivisionError("zero has no negative powers")
-        return QRat(self._den ** (-n), self._num ** (-n))
+        if n < 0:
+            if self.is_zero:
+                raise ZeroDivisionError("zero has no negative powers")
+            num, den, p, r = _parts(self)
+            return _canonical(den, num, r, p) ** -n
+        # powers of coprime num and monic den stay coprime and monic
+        out = object.__new__(QRat)
+        out._num, out._den = self._num ** n, self._den ** n
+        return out
 
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact rational value at q = q0; PoleError at denominator roots."""
@@ -507,6 +541,41 @@ class QRat:
 
     def __repr__(self) -> str:
         return f"QRat({self._num!r}, {self._den!r})"
+
+
+def _parts(x: QRat) -> tuple[list[int], Sequence[int], int, int]:
+    # (n, d, p, r) with x = (p/r) * n/d, for n, d primitive with positive leads.
+    n, cont = _int_primitive(x._num._nums)
+    d = x._den._nums
+    return n, d, cont * d[-1], x._num._den
+
+
+def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int) -> QRat:
+    # (p/r) * n/d as a canonical QRat, for coprime primitive n, d with positive
+    # leads and r != 0: only the scalar and the monic lead of d are left to fix.
+    out = object.__new__(QRat)
+    if not p:
+        out._num, out._den = _poly((), 1), _poly((1,), 1)
+        return out
+    r *= d[-1]
+    if r < 0:
+        p, r = -p, -r
+    g = math.gcd(p, r)
+    out._num, out._den = _poly([c * (p // g) for c in n], r // g), _poly(d, d[-1])
+    return out
+
+
+def _product(x: tuple, y: tuple) -> QRat:
+    # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
+    # can cancel from the product, and each involves one operand's degree only.
+    n1, d1, p1, r1 = x
+    n2, d2, p2, r2 = y
+    # a constant operand leaves nothing to cancel, so it takes no gcd call
+    if len(n1) > 1 and len(d2) > 1:
+        _, n1, d2 = _int_gcd(n1, d2)
+    if len(n2) > 1 and len(d1) > 1:
+        _, n2, d1 = _int_gcd(n2, d1)
+    return _canonical(_int_mul(n1, n2), _int_mul(d1, d2), p1 * p2, r1 * r2)
 
 
 def _coerce_rat(x: object) -> QRat | None:

@@ -176,8 +176,7 @@ def delta_qk_table(seq: QSeq, n_max: int, k_max: int) -> list[list[QRat]]:
 
 def delta_qk_closed(seq: QSeq, n: int, k: int) -> QRat:
     """k-th q-difference at n via the alternating Gaussian-binomial sum."""
-    if k < 0:
-        raise ValueError("difference order must be non-negative")
+    _require_nonnegative(n=n, k=k)
     total = QRAT_ZERO
     for i in range(k + 1):
         sign = -1 if i & 1 else 1

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qharmonic import direct
+from qharmonic.exactq import PoleError
 
 Q0 = Fraction(2)
 MU = (1, 1)
@@ -46,3 +47,13 @@ def test_imports_only_stdlib_and_two_kernel_names():
         if not ok:
             outside.append(ast.unparse(node))
     assert not outside, outside
+
+
+def test_unused_vanishing_q_integer_is_not_a_pole():
+    # [2]_q vanishes at q = -1; a_(1)(2) = 1/[3]_q never divides by it, a_(1)(1) does.
+    assert direct.a_at((1,), 2, -1) == 1
+    assert direct.b_at((1,), 2, -1) == 1
+    with pytest.raises(PoleError, match=r"\[2\]_q vanishes at q = -1"):
+        direct.a_at((1,), 1, -1)
+    with pytest.raises(PoleError, match=r"\[2\]_q vanishes at q = -1"):
+        direct.c_at((1,), (1,), 1, 0, -1)

@@ -430,3 +430,97 @@ def test_int_gcd_and_cancel_against_sympy():
         r = QRat(num, den)
         assert r.num.coeffs == from_sympy(want_num, want_den.LC())
         assert r.den.coeffs == from_sympy(want_den, want_den.LC())
+
+
+# --- Henrici product and sum --------------------------------------------------
+
+
+def _generic_sum(x, y):
+    # The full route: form n1*d2 + n2*d1 over d1*d2 and reduce it in QRat.__init__.
+    return QRat(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def _henrici_corpus(seed, count):
+    # Pairs of canonical values, built from random integer polynomials so that
+    # every case Henrici's algorithms tell apart occurs.
+    rng = random.Random(seed)
+
+    def poly():
+        while True:
+            p = QPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))])
+            if not p.is_zero:
+                return p
+
+    def scalar():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    pairs = []
+    for _ in range(count):
+        f, a, b, c, d = (poly() for _ in range(5))
+        qe = QPoly.monomial(1, rng.randint(1, 3))
+        x = QRat(a * f * scalar(), b)
+        z = QRat(c, d * f)
+        pairs += [
+            (x, QRat(c * scalar(), d * f)),  # n1 and d2 share f
+            (x, QRat(c * scalar(), b)),  # equal denominators
+            (x, QRat(c, d)),  # denominators coprime in general
+            (x, QRat(qe * scalar())),  # a power of q
+            (QRat(a, b * qe), QRat(c * qe, d)),  # q in a denominator and a numerator
+            (x, -x),  # the sum cancels to zero
+            (x, _generic_sum(z, -x)),  # the sum cancels down to z
+        ]
+    return pairs
+
+
+def _assert_canonical_rat(r: QRat):
+    _assert_canonical(r.num)
+    _assert_canonical(r.den)
+    assert r.den.leading_coefficient == 1
+    assert poly_gcd(r.num, r.den) == QPoly.one() or r.is_zero
+    assert not r.is_zero or r.den == QPoly.one()
+
+
+def test_henrici_ops_against_generic_route_and_point_values():
+    points = (Fraction(2, 3), Fraction(-5, 2), Fraction(7), Fraction(-1, 4))
+    for x, y in _henrici_corpus(41, 40):
+        cases = [
+            ("*", x * y, QRat(x.num * y.num, x.den * y.den)),
+            ("+", x + y, _generic_sum(x, y)),
+            ("-", x - y, _generic_sum(x, -y)),
+        ]
+        if y:
+            cases.append(("/", x / y, QRat(x.num * y.den, x.den * y.num)))
+        for e in (0, 1, 2, 3) + ((-1, -2) if x else ()):
+            num, den = (x.num, x.den) if e >= 0 else (x.den, x.num)
+            cases.append((f"**{e}", x ** e, QRat(num ** abs(e), den ** abs(e))))
+        for op, got, want in cases:
+            _assert_canonical_rat(got)
+            assert got.num == want.num and got.den == want.den, (op, x, y)
+        for q0 in points:
+            try:
+                xv, yv = x.evaluate(q0), y.evaluate(q0)
+            except PoleError:
+                continue
+            assert (x * y).evaluate(q0) == xv * yv
+            assert (x + y).evaluate(q0) == xv + yv
+            assert (x - y).evaluate(q0) == xv - yv
+            if yv:
+                assert (x / y).evaluate(q0) == xv / yv
+            assert (x ** 3).evaluate(q0) == xv ** 3
+
+
+def test_henrici_product_gcds_stay_below_operand_degree(monkeypatch):
+    # No gcd of the full product: each operand has at most the largest input degree.
+    sizes = []
+    original = exactq._int_gcd
+
+    def recording(u, v):
+        sizes.append(max(len(u), len(v)) - 1)
+        return original(u, v)
+
+    monkeypatch.setattr(exactq, "_int_gcd", recording)
+    for x, y in _henrici_corpus(42, 40):
+        bound = max(x.num.degree or 0, x.den.degree, y.num.degree or 0, y.den.degree)
+        sizes.clear()
+        x * y
+        assert max(sizes, default=0) <= bound, (x, y)

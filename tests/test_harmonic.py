@@ -205,6 +205,13 @@ class TestDifferenceOperators:
             assert delta_qk_closed(seq, n, 0) == seq(n)
             assert delta_qk_closed(seq, n, 1) == seq(n) - q_power(1) * seq(n + 1)
 
+    def test_closed_rejects_negative_index_by_name(self):
+        seq = a_seq(MultiIndex((1, 1)))
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            delta_qk_closed(seq, 0, -1)
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            delta_qk_closed(seq, -1, 2)
+
     def test_closed_frozen_value(self):
         # a_(2)(0) = q, a_(2)(1) = q^2/[2]^2, difference q - q^3/(1+q)^2
         seq = a_seq(MultiIndex((2,)))

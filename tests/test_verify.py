@@ -40,6 +40,10 @@ NEGATIVE_CONTROLS = {
     "duality": ("b_value", lambda index, k: b_value(MultiIndex(index).dual(), k)),
     # dX LY + dY - 1, the annihilating operator without the q of q dX LY
     "thm380": ("pde_residual", lambda s: apply_op(PARTIAL_X * LAMBDA_Y + PARTIAL_Y - 1, s)),
+    # q^(-n-k-2) in place of q^(-n-k-1) in the case-1 relation
+    "prop340": ("q_power", lambda e: q_power(e - 1)),
+    # the unshifted lowering operator in place of its conjugate under the PDE
+    "lemma360": ("lowering_op_i_shifted", lowering_op_i),
 }
 
 SMALL = CampaignConfig(max_weight=3, max_n=2, max_k=2, series_orders=4,
