@@ -191,12 +191,14 @@ class QPoly:
         return self if lc == 1 else self * (Fraction(1) / lc)
 
     def evaluate(self, q0: Scalar) -> Fraction:
-        """Exact value at q = q0 (Horner)."""
-        q0 = Fraction(q0)
-        acc = Fraction(0)
+        """Exact value at q = q0 = p/s, by Horner over Z with one division at the end."""
+        p, s = Fraction(q0).as_integer_ratio()
+        acc, scale = 0, 1
         for c in reversed(self._nums):
-            acc = acc * q0 + c
-        return acc / self._den
+            # acc / scale is the Horner value so far
+            scale *= s
+            acc = acc * p + c * scale
+        return Fraction(acc, scale * self._den)
 
     def __str__(self) -> str:
         return _format_terms(self.coeffs)

@@ -10,14 +10,14 @@ of non-negative integers:
   denominator fuses the two chains through the block expansions of mu and nu,
   scaled by the inverse Gaussian binomial [n+k choose n]_q.
 
-Chains are never enumerated outright.  c is evaluated by one suffix recursion
-over the slot walk of (mu, nu): the runs of slots between block boundaries,
-each run contributing one power of its fused factor.  The memo is keyed on
-(run, remaining steps, current n-value, current k-value) and names neither mu
-nor nu, so all pairs whose walks end alike share entries, and one table serves
-an entire verification grid.  The recursion is as deep as the number of block
-boundaries, whatever n and k are.  a and b are c sums against a one-block
-partner index, so they share that recursion and its memo.
+Chains are never enumerated outright.  c is one suffix recursion over the
+slot walk of (mu, nu), each run of slots between block boundaries contributing
+one power of its fused factor, memoized on (run, remaining steps, n-value,
+k-value); the key names neither mu nor nu, so pairs whose walks end alike share
+entries.  At a boundary the sum over the lower chain values is a running 2-D
+sum held in the same memo, so a state costs O(1) additions, not O(nk), and the
+recursion is as deep as the number of boundaries, whatever n and k are.  a and
+b are c sums against a one-block partner index, so they share that memo.
 
 The q-differences of a sequence have one iterated route, ``delta_qk_table``,
 which fills a whole (n, k) table by the first difference, beside the closed
@@ -55,8 +55,7 @@ class QSeq:
         self._cache: dict[int, QRat] = {}
 
     def __call__(self, n: int) -> QRat:
-        if n < 0:
-            raise ValueError("sequences are indexed by non-negative integers")
+        _require_nonnegative(n=n)
         hit = self._cache.get(n)
         if hit is None:
             hit = _require_rat(self._fn(n))
@@ -109,27 +108,40 @@ def a_seq(mu: MultiIndex) -> QSeq:
 # (mu, nu) is the head run's length plus one step (di, dj, part, run) per
 # boundary: whether mu and nu open a block there, the opened mu block's size
 # minus one, and the length of the run that follows.
+#
+# At a step the chain values drop to a2 <= a where mu opens a block and to
+# b2 <= b where nu does, each (a2, b2) weighted
+# w(a2, b2) = q^(part (a2+1) + dj b2) _c_suffix(next_run, rest, a2, b2).
+# Run 0 holds that inner sum as a running 2-D sum,
+#   P(a, b) = [di and a > 0] P(a-1, b) + R(a, b),
+#   R(a, b) = [dj and b > 0] R(a, b-1) + w(a, b),
+# the row sum R being P of the step with di cleared, so each state takes at
+# most two additions and one product.  Each entry first requests its
+# predecessors in ascending order, so no call recurses along a or b.  R is
+# kept only where both open a block; elsewhere it is P itself or not carried.
 
 @functools.cache
 def _c_suffix(run: int, tail: tuple[tuple[int, int, int, int], ...], a: int, b: int) -> QRat:
-    """A run of slots at n = a, k = b, then the steps of `tail`.
-
-    The run contributes 1/[a+b+1]^run.  A step lets the chain values drop to
-    a2 <= a where mu opens a block (weight q^(part (a2+1))) and to b2 <= b where
-    nu does (weight q^b2).  The key names neither mu nor nu, so every pair whose
-    walk ends in `tail` shares these entries.
-    """
-    factor = QRat(QPoly.one(), q_integer(a + b + 1) ** run)
-    if not tail:
-        return factor
+    """A run of slots at n = a, k = b, contributing 1/[a+b+1]^run, then the steps of `tail`."""
+    if run:
+        factor = QRat(QPoly.one(), q_integer(a + b + 1) ** run)
+        return factor * _c_suffix(0, tail, a, b) if tail else factor
     (di, dj, part, next_run), rest = tail[0], tail[1:]
-    inner = QRAT_ZERO
-    for a2 in range(a + 1) if di else (a,):
-        for b2 in range(b + 1) if dj else (b,):
-            term = _c_suffix(next_run, rest, a2, b2)
-            e = part * (a2 + 1) + b2 * dj
-            inner = inner + (q_power(e) * term if e else term)
-    return factor * inner
+    if di and dj:
+        row = _c_suffix(0, ((0, 1, part, next_run),) + rest, a, b)
+    else:
+        e = part * (a + 1) + dj * b
+        row = _c_suffix(next_run, rest, a, b)
+        row = q_power(e) * row if e else row
+        if dj and b:
+            for b2 in range(b):
+                up = _c_suffix(0, tail, a, b2)
+            row = up + row
+    if not (di and a):
+        return row
+    for a2 in range(a):
+        left = _c_suffix(0, tail, a2, b)
+    return left + row
 
 
 def c_value(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> QRat:

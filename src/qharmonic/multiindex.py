@@ -8,6 +8,7 @@ the identities this package verifies.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -29,12 +30,7 @@ class MultiIndex(tuple):
 
     def subset_encode(self) -> frozenset[int]:
         """Partial sums {mu_1, mu_1+mu_2, ...} minus the last; a subset of {1..m-1}."""
-        acc = 0
-        out = []
-        for p in self[:-1]:
-            acc += p
-            out.append(acc)
-        return frozenset(out)
+        return frozenset(accumulate(self[:-1]))
 
     def dual(self) -> MultiIndex:
         """Complement the partial-sum subset inside {1, ..., m-1}."""

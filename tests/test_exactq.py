@@ -326,6 +326,29 @@ def test_qpoly_ops_against_fraction_reference():
             assert got == QPoly(want) and hash(got) == hash(QPoly(want))
 
 
+def _fraction_horner(coeffs, q0):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * q0 + c
+    return acc
+
+
+def test_evaluate_against_fraction_horner():
+    rng = random.Random(2031)
+    polys = [(), (Fraction(0),), (Fraction(5),), (Fraction(-7, 6),), (Fraction(1, 3), 0, 0)]
+    polys += [_random_fracs(rng, max_len=12) for _ in range(200)]
+    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2),
+              Fraction(-1, 7), Fraction(9)]
+    points += [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(10)]
+    for coeffs in polys:
+        p = QPoly(coeffs)
+        for q0 in points:
+            got = p.evaluate(q0)
+            assert isinstance(got, Fraction)
+            assert got == _fraction_horner(p.coeffs, q0), (coeffs, q0)
+        assert p.evaluate(3) == _fraction_horner(p.coeffs, Fraction(3))
+
+
 def _prim(cs):
     return exactq._int_primitive(cs)[0]
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from helpers import brute_a, brute_b, brute_c, random_qrat
-from qharmonic import harmonic
+from qharmonic import direct, harmonic
 from qharmonic.exactq import QPoly, QRat, q_factorial, q_integer, q_power
 from qharmonic.harmonic import (
     QSeq,
@@ -105,6 +106,45 @@ def test_no_recursion_as_deep_as_n():
     finally:
         sys.setrecursionlimit(limit)
     assert a.den.degree > 40 and b.den.degree > 40 and c.den.degree > 40
+
+
+def _clear_c_tables():
+    harmonic._c_value.cache_clear()
+    harmonic._c_suffix.cache_clear()
+
+
+def test_grid_does_not_depend_on_request_order():
+    # The running sums extend whatever the table holds, so a shuffled request
+    # order must give the grid that ascending order gives.
+    points = [(mu, nu, n, k)
+              for w in range(2, 5)
+              for mu in enumerate_by_weight(w) for nu in enumerate_by_weight(w)
+              if (mu[0] >= 2) != (nu[0] >= 2)
+              for n in range(6) for k in range(6)]
+    assert len(points) == 42 * 36
+    shuffled = points[:]
+    random.Random(10).shuffle(shuffled)
+    _clear_c_tables()
+    got = {p: c_value(*p) for p in shuffled}
+    _clear_c_tables()
+    want = {p: c_value(*p) for p in points}
+    assert got == want
+    q0 = Fraction(2, 3)
+    for mu, nu, n, k in random.Random(11).sample(points, 25):
+        assert got[mu, nu, n, k].evaluate(q0) == direct.c_at(mu, nu, n, k, q0), (mu, nu, n, k)
+
+
+def test_running_sums_take_two_additions_per_state(monkeypatch):
+    # The walk of (2,1,1) against (1,1,2) has a nu-only, a both and a mu-only
+    # step, so it has at most 3 (N+1)^2 states, each at most two additions.
+    # A sum over every a2 <= a and b2 <= b at each state takes O(N^4).
+    calls = []
+    add = QRat.__add__
+    monkeypatch.setattr(QRat, "__add__", lambda x, y: calls.append(1) or add(x, y))
+    N = 10
+    _clear_c_tables()
+    c_value(MultiIndex((2, 1, 1)), MultiIndex((1, 1, 2)), N, N)
+    assert 0 < len(calls) <= 2 * 3 * (N + 1) ** 2
 
 
 class TestCValues:
@@ -253,7 +293,7 @@ class TestQSeq:
         assert seq(3) is seq(3)
 
     def test_negative_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
             a_seq(MultiIndex((1,)))(-1)
 
     def test_from_values_with_tail(self):

@@ -15,7 +15,15 @@ from qharmonic import direct, verify
 from qharmonic.exactq import PoleError, QPoly, QRat, q_power
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
-from qharmonic.qseries import LAMBDA_Y, PARTIAL_X, PARTIAL_Y, apply_op, lowering_op_i, lowering_op_ii
+from qharmonic.qseries import (
+    LAMBDA_Y,
+    PARTIAL_X,
+    PARTIAL_Y,
+    BiSeries,
+    apply_op,
+    lowering_op_i,
+    lowering_op_ii,
+)
 from qharmonic.verify import (
     CampaignConfig,
     DEFAULT_SEED,
@@ -34,17 +42,53 @@ from qharmonic.verify import (
     witness_from_qrat,
 )
 
+
+def _off_by_one_table(seq, n_max, k_max):
+    # delta_qk_table with the first difference stepping by q^(k+2), not q^(k+1)
+    column = [seq(n) for n in range(n_max + k_max + 1)]
+    rows = [[value] for value in column[: n_max + 1]]
+    for k in range(k_max):
+        z = q_power(k + 2)
+        column = [column[n] - z * column[n + 1] for n in range(len(column) - 1)]
+        for n, row in enumerate(rows):
+            row.append(column[n])
+    return rows
+
+
 # Negative controls: token -> (name rebound in verify, a wrong ingredient).
 NEGATIVE_CONTROLS = {
     # b at mu in place of mu*; verify_duality passes mu*, whose dual is mu
     "duality": ("b_value", lambda index, k: b_value(MultiIndex(index).dual(), k)),
-    # dX LY + dY - 1, the annihilating operator without the q of q dX LY
-    "thm380": ("pde_residual", lambda s: apply_op(PARTIAL_X * LAMBDA_Y + PARTIAL_Y - 1, s)),
+    # c at (mu, mu) in place of (mu, mu*)
+    "main": ("c_value", lambda mu, nu, n, k: c_value(mu, mu, n, k)),
     # q^(-n-k-2) in place of q^(-n-k-1) in the case-1 relation
     "prop340": ("q_power", lambda e: q_power(e - 1)),
+    # the case-2 lowering operator on the case-1 pairs
+    "prop350": ("lowering_op_i", lowering_op_ii),
+    # dX LY + dY - 1, the annihilating operator without the q of q dX LY
+    "thm380": ("pde_residual", lambda s: apply_op(PARTIAL_X * LAMBDA_Y + PARTIAL_Y - 1, s)),
     # the unshifted lowering operator in place of its conjugate under the PDE
     "lemma360": ("lowering_op_i_shifted", lowering_op_i),
+    # the same swap in the kernel checks, whose back-substitution is for the shifted one
+    "lemma370": ("lowering_op_i_shifted", lowering_op_i),
+    # e(X) in place of e(Y)
+    "prop240": ("q_exp", lambda vx, vy: BiSeries.from_function(
+        lambda n, k: QRat(1) if k == 0 else QRat(0), vx, vy)),
+    # the iterated difference stepping by q^(k+2)
+    "cor250": ("delta_qk_table", _off_by_one_table),
 }
+
+
+def _shows_its_discrepancy(rec: Record) -> bool:
+    """Whether a failing record shows its discrepancy, for each witness kind."""
+    if rec.witness is None:
+        # an injectivity record fails with no witness: its image is the zero array
+        return rec.params.get("check") == "injectivity"
+    if "values" in rec.witness:
+        # an eval record's witness is the four values that must coincide
+        return len(set(rec.witness["values"])) > 1
+    return not qrat_from_witness(rec.witness).is_zero
+
 
 SMALL = CampaignConfig(max_weight=3, max_n=2, max_k=2, series_orders=4,
                        series_max_weight=2, parallelism=1)
@@ -209,18 +253,7 @@ class TestIdentityDrivers:
         lambda: verify_main_identity(MultiIndex((2, 1)), 2, 2),
     ], ids=["cor250", "main"])
     def test_iterated_difference_checks_fail_for_off_by_one_step(self, monkeypatch, run):
-        # negative control: the first difference with q^(k+2) in place of q^(k+1)
-        def off_by_one_table(seq, n_max, k_max):
-            column = [seq(n) for n in range(n_max + k_max + 1)]
-            rows = [[value] for value in column[: n_max + 1]]
-            for k in range(k_max):
-                z = q_power(k + 2)
-                column = [column[n] - z * column[n + 1] for n in range(len(column) - 1)]
-                for n, row in enumerate(rows):
-                    row.append(column[n])
-            return rows
-
-        monkeypatch.setattr(verify, "delta_qk_table", off_by_one_table)
+        monkeypatch.setattr(verify, "delta_qk_table", _off_by_one_table)
         failures = run().failures()
         assert failures
         for rec in failures:
@@ -238,7 +271,10 @@ class TestIdentityDrivers:
         assert failures
         for rec in failures:
             assert rec.identity == token
-            assert not qrat_from_witness(rec.witness).is_zero
+            assert _shows_its_discrepancy(rec), rec
+
+    def test_every_token_has_a_negative_control(self):
+        assert set(NEGATIVE_CONTROLS) == set(IDENTITY_TOKENS)
 
     def test_inductive_relations_both_cases(self):
         rep = verify_inductive_relations(MultiIndex((2,)), MultiIndex((1, 1)), 3, 3, 4)
