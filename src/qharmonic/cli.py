@@ -67,16 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_qrat(value: QRat, at: str | None) -> None:
+def _print_qrat(value: QRat, q0: Fraction | None) -> None:
     print(str(value))
     print(f"num coeffs: {[str(c) for c in value.num.coeffs]}")
     print(f"den coeffs: {[str(c) for c in value.den.coeffs]}")
-    if at is not None:
-        q0 = Fraction(at)
+    if q0 is not None:
         print(f"value at q = {q0}: {value.evaluate(q0)}")
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    # a bad point is rejected before the value is computed or printed
+    q0 = None if args.at is None else Fraction(args.at)
     if args.kind in ("a", "b"):
         if len(args.args) != 2:
             raise ValueError(f"compute {args.kind} takes <mu> <n>")
@@ -89,7 +90,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         mu = parse_multiindex(args.args[0])
         nu = parse_multiindex(args.args[1])
         value = c_value(mu, nu, int(args.args[2]), int(args.args[3]))
-    _print_qrat(value, args.at)
+    _print_qrat(value, q0)
     return 0
 
 

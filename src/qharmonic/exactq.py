@@ -4,20 +4,22 @@ Provides dense polynomials over Q in the indeterminate q (``QPoly``), reduced
 rational functions (``QRat``), and the q-combinatorial primitives built on
 them: q-integers, q-factorials and Gaussian binomial coefficients.
 
-All values are immutable and kept in a canonical form — polynomials carry no
-trailing zero coefficients, rational functions are gcd-reduced with a monic
-denominator — so structural equality decides equality in Q(q).
+All values are immutable and kept in a canonical form, so structural equality
+decides equality in Q(q).  A polynomial is stored as integer numerators over
+one positive common denominator.  A rational function is stored as
+(p/r) * n/d: n and d coprime primitive integer polynomials with positive
+leading coefficients, and the scalar p/r in lowest terms with r > 0.  The
+monic-denominator form ``num``/``den`` is built from that only for output.
 
-The arithmetic runs over Z: a polynomial is stored as integer numerators over
-one positive common denominator, and a rational function is reduced with the
-heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, 1989), which falls back to
-the primitive remainder sequence when the heuristic is unlucky.
+Outside input is reduced with the heuristic integer gcd GCDHEU (Char, Geddes &
+Gonnet, 1989), which falls back to the primitive remainder sequence when the
+heuristic is unlucky.
 
-That full reduction is for outside input.  Two reduced values combine by
-Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1): a product
-n1 n2 / d1 d2 cancels only gcd(n1, d2) and gcd(n2, d1); a sum, with
-g = gcd(d1, d2), cancels only gcd(n1 (d2/g) + n2 (d1/g), g).  Inverses and
-powers take no gcd, so no gcd ever sees the double-degree result.
+Two reduced values combine by Henrici's algorithms (JACM 3, 1956; Knuth,
+TAOCP vol. 2, 4.5.1), reading n, d, p and r directly: a product n1 n2 / d1 d2
+cancels only gcd(n1, d2) and gcd(n2, d1); a sum, with g = gcd(d1, d2),
+cancels only gcd(n1 (d2/g) + n2 (d1/g), g).  Inverses and powers take no gcd,
+so no gcd ever sees the double-degree result.
 """
 
 from __future__ import annotations
@@ -130,7 +132,10 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("QPoly", self._nums, self._den))
+        # as equality does: a constant as its Fraction, anything else as its QRat
+        if len(self._nums) <= 1:
+            return hash(Fraction(self._nums[0], self._den) if self._nums else 0)
+        return hash(QRat(self))
 
     def __neg__(self) -> QPoly:
         return _poly([-c for c in self._nums], self._den)
@@ -174,15 +179,10 @@ class QPoly:
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial; use QRat")
-        # bit_length - 1 squarings and popcount - 1 products, none wasted
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return QPoly.one() if result is None else result
+        if not self._nums:
+            return self if n else QPoly.one()
+        # content and den stay coprime in a power, so the result is canonical
+        return _poly(_int_pow(self._nums, n), self._den ** n)
 
     def monic(self) -> QPoly:
         if self.is_zero:
@@ -245,6 +245,19 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, bj in enumerate(b, i):
                 out[j] += ai * bj
     return out
+
+
+def _int_pow(v: Sequence[int], k: int) -> Sequence[int]:
+    # v**k for nonzero v by square and multiply: bit_length - 1 squarings and
+    # popcount - 1 products, none wasted.
+    out = None
+    while k:
+        if k & 1:
+            out = v if out is None else _int_mul(out, v)
+        k >>= 1
+        if k:
+            v = _int_mul(v, v)
+    return [1] if out is None else out
 
 
 def _int_primitive(v: Iterable[int]) -> tuple[list[int], int]:
@@ -397,19 +410,22 @@ def q_binomial(n: int, k: int) -> QPoly:
 
 
 class QRat:
-    """Reduced element of Q(q): numerator/denominator in canonical form.
+    """Reduced element of Q(q), stored as x = (p/r) * n/d.
 
-    Canonical form means gcd(num, den) is a nonzero constant and den is monic,
-    so two values are equal in Q(q) exactly when they are structurally equal.
+    n and d are coprime primitive integer coefficient tuples with positive
+    leading coefficients, r > 0 and gcd(p, r) = 1; zero is ((), (1,), 0, 1).
+    That form is unique, so two values are equal in Q(q) exactly when they are
+    structurally equal.  The monic-denominator pair ``num``/``den`` is built
+    from it on each request, for output only.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_n", "_d", "_p", "_r")
 
     def __init__(self, num: QPoly | QRat | Scalar, den: QPoly | Scalar = 1) -> None:
         if isinstance(num, QRat):
             if _as_poly(den) != QPoly.one():
                 raise TypeError("cannot re-divide an already rational value")
-            self._num, self._den = num._num, num._den
+            self._n, self._d, self._p, self._r = num._n, num._d, num._p, num._r
             return
         num = _as_poly(num)
         den = _as_poly(den)
@@ -417,64 +433,72 @@ class QRat:
             raise ZeroDivisionError("zero denominator in Q(q)")
         # num/den = (n_cont * n_prim / n_den) / (d_cont * d_prim / d_den): reduce over
         # Z by cancelling the gcd of the primitive parts and folding the rest into
-        # one scalar on the numerator.
+        # one scalar.
         n_prim, n_cont = _int_primitive(num._nums)
         d_prim, d_cont = _int_primitive(den._nums)
-        if n_cont and len(n_prim) > 1 and len(d_prim) > 1:
+        if len(n_prim) > 1 and len(d_prim) > 1:
             _, n_prim, d_prim = _int_gcd(n_prim, d_prim)
         out = _canonical(n_prim, d_prim, n_cont * den._den, d_cont * num._den)
-        self._num, self._den = out._num, out._den
+        self._n, self._d, self._p, self._r = out._n, out._d, out._p, out._r
 
     @property
     def num(self) -> QPoly:
-        return self._num
+        # the numerator over the monic den: x = p n / (r d[-1]) / (d / d[-1]), and
+        # gcd(p, r d[-1]) = gcd(p, d[-1])
+        ld = self._d[-1]
+        g = math.gcd(self._p, ld)
+        return _poly([c * (self._p // g) for c in self._n], self._r * ld // g)
 
     @property
     def den(self) -> QPoly:
-        return self._den
+        return _poly(self._d, self._d[-1])
 
     @property
     def is_zero(self) -> bool:
-        return self._num.is_zero
+        return not self._p
 
     def __bool__(self) -> bool:
-        return not self._num.is_zero
+        return bool(self._p)
 
     def __eq__(self, other: object) -> bool:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return (self._p == other._p and self._r == other._r
+                and self._n == other._n and self._d == other._d)
 
     def __hash__(self) -> int:
-        return hash(("QRat", self._num, self._den))
+        # a constant equals its int or Fraction, so it hashes as that value
+        if len(self._n) <= 1 and len(self._d) == 1:
+            return hash(Fraction(self._p, self._r))
+        return hash((self._n, self._d, self._p, self._r))
 
     def __neg__(self) -> QRat:
-        # -num/den is already canonical, so it skips the reduction in __init__.
-        r = object.__new__(QRat)
-        r._num, r._den = -self._num, self._den
-        return r
+        return _canonical(self._n, self._d, -self._p, self._r)
 
     def __add__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
-        if other.is_zero or self.is_zero:
-            return other if self.is_zero else self
-        n1, d1, p1, r1 = _parts(self)
-        n2, d2, p2, r2 = _parts(other)
+        if not self._p or not other._p:
+            return self if self._p else other
+        n1, d1, p1, r1 = self._n, self._d, self._p, self._r
+        n2, d2, p2, r2 = other._n, other._d, other._p, other._r
         # Henrici: with g = gcd(d1, d2) and e_i = d_i/g, the sum is t / (e1 e2 g) over
         # r1 r2 for t = p1 r2 n1 e2 + p2 r1 n2 e1, and only gcd(t, g) can cancel.
-        g, e1, e2 = [1], d1, d2
+        g, e1, e2 = (1,), d1, d2
         if d1 == d2:
-            g, e1, e2 = d1, [1], [1]
+            g, e1, e2 = d1, (1,), (1,)
         elif len(d1) > 1 and len(d2) > 1:
             g, e1, e2 = _int_gcd(d1, d2)
-        t = (_poly(_int_mul(n1, [p1 * r2 * c for c in e2]), 1)
-             + _poly(_int_mul(n2, [p2 * r1 * c for c in e1]), 1))
-        t, t_cont = _int_primitive(t._nums)
-        if not t_cont:
-            return QRAT_ZERO
+        a = _int_mul(n1, [p1 * r2 * c for c in e2])
+        b = _int_mul(n2, [p2 * r1 * c for c in e1])
+        if len(a) < len(b):
+            a, b = b, a
+        t = [x + y for x, y in zip(a, b)] + a[len(b):]
+        while t and not t[-1]:
+            t.pop()
+        t, t_cont = _int_primitive(t)
         if len(t) > 1 and len(g) > 1:
             _, t, g = _int_gcd(t, g)
         return _canonical(t, _int_mul(_int_mul(e1, e2), g), t_cont, r1 * r2)
@@ -497,9 +521,18 @@ class QRat:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self._p or not other._p:
             return QRAT_ZERO
-        return _product(_parts(self), _parts(other))
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
+        # can cancel from the product, and each involves one operand's degree only.
+        # A constant operand leaves nothing to cancel, so it takes no gcd call.
+        if len(n1) > 1 and len(d2) > 1:
+            _, n1, d2 = _int_gcd(n1, d2)
+        if len(n2) > 1 and len(d1) > 1:
+            _, n2, d1 = _int_gcd(n2, d1)
+        return _canonical(_int_mul(n1, n2), _int_mul(d1, d2), self._p * other._p,
+                          self._r * other._r)
 
     __rmul__ = __mul__
 
@@ -507,12 +540,9 @@ class QRat:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if not other._p:
             raise ZeroDivisionError("division by zero in Q(q)")
-        if self.is_zero:
-            return QRAT_ZERO
-        n2, d2, p2, r2 = _parts(other)
-        return _product(_parts(self), (d2, n2, r2, p2))
+        return self * _canonical(other._d, other._n, other._r, other._p)
 
     def __rtruediv__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -522,62 +552,38 @@ class QRat:
 
     def __pow__(self, n: int) -> QRat:
         if n < 0:
-            if self.is_zero:
+            if not self._p:
                 raise ZeroDivisionError("zero has no negative powers")
-            num, den, p, r = _parts(self)
-            return _canonical(den, num, r, p) ** -n
-        # powers of coprime num and monic den stay coprime and monic
-        out = object.__new__(QRat)
-        out._num, out._den = self._num ** n, self._den ** n
-        return out
+            return _canonical(self._d, self._n, self._r, self._p) ** -n
+        if not self._p:
+            return self if n else QRAT_ONE
+        # powers of coprime primitive n and d stay coprime and primitive
+        return _canonical(_int_pow(self._n, n), _int_pow(self._d, n), self._p ** n, self._r ** n)
 
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact rational value at q = q0; PoleError at denominator roots."""
-        d = self._den.evaluate(q0)
+        d = _poly(self._d, 1).evaluate(q0)
         if d == 0:
             raise PoleError(f"denominator vanishes at q = {q0}")
-        return self._num.evaluate(q0) / d
+        return _poly(self._n, 1).evaluate(q0) * self._p / (self._r * d)
 
     def __str__(self) -> str:
-        return f"({self._num}) / ({self._den})"
+        return f"({self.num}) / ({self.den})"
 
     def __repr__(self) -> str:
-        return f"QRat({self._num!r}, {self._den!r})"
-
-
-def _parts(x: QRat) -> tuple[list[int], Sequence[int], int, int]:
-    # (n, d, p, r) with x = (p/r) * n/d, for n, d primitive with positive leads.
-    n, cont = _int_primitive(x._num._nums)
-    d = x._den._nums
-    return n, d, cont * d[-1], x._num._den
+        return f"QRat({self.num!r}, {self.den!r})"
 
 
 def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int) -> QRat:
-    # (p/r) * n/d as a canonical QRat, for coprime primitive n, d with positive
-    # leads and r != 0: only the scalar and the monic lead of d are left to fix.
+    # (p/r) * n/d for coprime primitive n, d with positive leads and r != 0: only
+    # the sign and the gcd of the scalar are left to fix.
     out = object.__new__(QRat)
     if not p:
-        out._num, out._den = _poly((), 1), _poly((1,), 1)
+        out._n, out._d, out._p, out._r = (), (1,), 0, 1
         return out
-    r *= d[-1]
-    if r < 0:
-        p, r = -p, -r
-    g = math.gcd(p, r)
-    out._num, out._den = _poly([c * (p // g) for c in n], r // g), _poly(d, d[-1])
+    g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
+    out._n, out._d, out._p, out._r = tuple(n), tuple(d), p // g, r // g
     return out
-
-
-def _product(x: tuple, y: tuple) -> QRat:
-    # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
-    # can cancel from the product, and each involves one operand's degree only.
-    n1, d1, p1, r1 = x
-    n2, d2, p2, r2 = y
-    # a constant operand leaves nothing to cancel, so it takes no gcd call
-    if len(n1) > 1 and len(d2) > 1:
-        _, n1, d2 = _int_gcd(n1, d2)
-    if len(n2) > 1 and len(d1) > 1:
-        _, n2, d1 = _int_gcd(n2, d1)
-    return _canonical(_int_mul(n1, n2), _int_mul(d1, d2), p1 * p2, r1 * r2)
 
 
 def _coerce_rat(x: object) -> QRat | None:

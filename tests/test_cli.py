@@ -77,6 +77,13 @@ def test_compute_pole(capsys):
     assert "vanishes" in err
 
 
+def test_compute_bad_point_is_rejected_before_the_value(capsys):
+    code, out, err = run_cli(capsys, "compute", "a", "1,1", "3", "--at", "abc")
+    assert code == 2
+    assert out == ""
+    assert "abc" in err
+
+
 @pytest.mark.parametrize(
     "tokens", [(t,) for t in IDENTITY_TOKENS] + [SERIES_TOKENS],
     ids=list(IDENTITY_TOKENS) + ["series"])

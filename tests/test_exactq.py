@@ -186,6 +186,59 @@ class TestQRat:
         b = QRat(QPoly.variable())
         assert a == b and hash(a) == hash(b)
 
+    def test_hash_agrees_with_equality_across_types(self):
+        # Values that compare equal hash equal, so they find each other in sets
+        # and as dict keys: ints, Fractions, constant and non-constant values.
+        groups = [
+            [0, Fraction(0), QPoly(), QPoly.constant(0), QRat(0), QRat(QPoly(), QPoly((1, 1)))],
+            [3, Fraction(3), QPoly.constant(3), QRat(3), QRat(QPoly((6,)), QPoly((2,)))],
+            [Fraction(-2, 7), QPoly.constant(Fraction(-2, 7)), QRat(-2, 7),
+             QRat(QPoly((-2, -2)), QPoly((7, 7)))],
+            [QPoly((1, Fraction(1, 2))), QRat(QPoly((2, 1)), 2),
+             QRat(QPoly((2, 3, 1)), QPoly((2, 2)))],
+            [QRat(QPoly((1, 1)), QPoly((0, 3))), QRat(QPoly((-2, -2)), QPoly((0, -6)))],
+        ]
+        for group in groups:
+            for x in group:
+                for y in group:
+                    assert x == y and hash(x) == hash(y), (x, y)
+                    assert y in {x} and {x: 1}.get(y) == 1, (x, y)
+        for group, other in zip(groups, groups[1:]):
+            assert group[-1] != other[-1] and group[-1] not in {other[-1]}
+
+    def test_ops_read_the_stored_form_without_re_splitting(self, monkeypatch):
+        # A product re-splits no operand into content and primitive part, and a
+        # sum splits only its new numerator t; the gcds may split their digits.
+        calls, depth = [], [0]
+        primitive, gcd = exactq._int_primitive, exactq._int_gcd
+
+        def counting_primitive(v):
+            if not depth[0]:
+                calls.append(None)
+            return primitive(v)
+
+        def quiet_gcd(u, v):
+            depth[0] += 1
+            try:
+                return gcd(u, v)
+            finally:
+                depth[0] -= 1
+
+        pairs = [
+            (QRat(QPoly((2, 4, 6)), 5), QRat(QPoly((Fraction(1, 2), -1)), 7)),
+            (QRat(QPoly((1, 2)), QPoly((3, 0, 1))), QRat(QPoly((-3, 1)), QPoly((5, 1)))),
+            (QRat(QPoly((4, 1)), QPoly((1, 1))), QRat(QPoly((1, 1)), QPoly((0, 1, 2)))),
+        ]
+        monkeypatch.setattr(exactq, "_int_primitive", counting_primitive)
+        monkeypatch.setattr(exactq, "_int_gcd", quiet_gcd)
+        for x, y in pairs:
+            calls.clear()
+            x * y
+            assert len(calls) == 0, (x, y)
+            calls.clear()
+            x + y
+            assert len(calls) == 1, (x, y)
+
 
 def _polys(max_deg=3, bound=4):
     return st.builds(
@@ -496,6 +549,17 @@ def _henrici_corpus(seed, count):
 
 
 def _assert_canonical_rat(r: QRat):
+    # the stored form (p/r) * n/d ...
+    n, d, p, s = r._n, r._d, r._p, r._r
+    assert isinstance(n, tuple) and isinstance(d, tuple)
+    assert s > 0 and math.gcd(p, s) == 1
+    if not p:
+        assert (n, d, s) == ((), (1,), 1)
+    else:
+        for v in (n, d):
+            assert v[-1] > 0 and math.gcd(*v) == 1
+        assert exactq._int_gcd(n, d)[0] == [1]
+    # ... and the monic pair built from it
     _assert_canonical(r.num)
     _assert_canonical(r.den)
     assert r.den.leading_coefficient == 1

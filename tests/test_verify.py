@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from qharmonic import direct, verify
-from qharmonic.exactq import PoleError, QPoly, QRat, q_power
+from qharmonic.exactq import PoleError, QPoly, QRat, q_binomial, q_power
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
 from qharmonic.qseries import (
@@ -76,6 +76,29 @@ NEGATIVE_CONTROLS = {
         lambda n, k: QRat(1) if k == 0 else QRat(0), vx, vy)),
     # the iterated difference stepping by q^(k+2)
     "cor250": ("delta_qk_table", _off_by_one_table),
+}
+
+
+def _closed_difference_unshifted(seq, n, k):
+    # delta_qk_closed with q^(i(i-1)/2) in place of q^(i(i+1)/2)
+    total = QRat(0)
+    for i in range(k + 1):
+        coeff = q_binomial(k, i) * QPoly.monomial(-1 if i & 1 else 1, i * (i - 1) // 2)
+        total = total + QRat(coeff) * seq(n + i)
+    return total
+
+
+_direct_c_at = direct.c_at
+
+# Second negative controls: id -> (token, module, name rebound there, a wrong
+# ingredient, eval points of the control campaign).
+SECOND_CONTROLS = {
+    "cor250": ("cor250", verify, "delta_qk_closed", _closed_difference_unshifted, ()),
+    # the direct route at (mu, mu) in place of (mu, mu*): only the eval records
+    # read it, so this campaign has eval points
+    "main-eval": ("main", direct, "c_at",
+                  lambda mu, nu, n, k, q0: _direct_c_at(mu, mu, n, k, q0),
+                  (Fraction(2, 3), Fraction(5), Fraction(-2))),
 }
 
 
@@ -272,6 +295,20 @@ class TestIdentityDrivers:
         for rec in failures:
             assert rec.identity == token
             assert _shows_its_discrepancy(rec), rec
+
+    @pytest.mark.parametrize("control", list(SECOND_CONTROLS))
+    def test_family_fails_under_its_second_control(self, monkeypatch, control):
+        token, module, name, mutant, points = SECOND_CONTROLS[control]
+        monkeypatch.setattr(module, name, mutant)
+        failures = run_campaign(CampaignConfig(
+            max_weight=3, max_k=2, series_orders=3, series_max_weight=3,
+            identities=(token,), eval_points=points)).failures()
+        assert failures
+        for rec in failures:
+            assert rec.identity == token
+            assert _shows_its_discrepancy(rec), rec
+            if points:
+                assert rec.params["check"] == "eval", rec
 
     def test_every_token_has_a_negative_control(self):
         assert set(NEGATIVE_CONTROLS) == set(IDENTITY_TOKENS)
