@@ -68,11 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_qrat(value: QRat, q0: Fraction | None) -> None:
+    # evaluated before the first print, so a pole leaves stdout empty
+    at = None if q0 is None else value.evaluate(q0)
     print(str(value))
     print(f"num coeffs: {[str(c) for c in value.num.coeffs]}")
     print(f"den coeffs: {[str(c) for c in value.den.coeffs]}")
     if q0 is not None:
-        print(f"value at q = {q0}: {value.evaluate(q0)}")
+        print(f"value at q = {q0}: {at}")
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:

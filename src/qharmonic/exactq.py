@@ -1,25 +1,27 @@
 """Exact arithmetic in the field Q(q).
 
-Provides dense polynomials over Q in the indeterminate q (``QPoly``), reduced
-rational functions (``QRat``), and the q-combinatorial primitives built on
+Provides reduced rational functions (``QRat``), dense polynomials over Q in
+the indeterminate q (``QPoly``), and the q-combinatorial primitives built on
 them: q-integers, q-factorials and Gaussian binomial coefficients.
 
-All values are immutable and kept in a canonical form, so structural equality
-decides equality in Q(q).  A polynomial is stored as integer numerators over
-one positive common denominator.  A rational function is stored as
+All values are immutable and kept in one canonical form, so structural
+equality decides equality in Q(q).  A rational function is stored as
 (p/r) * n/d: n and d coprime primitive integer polynomials with positive
-leading coefficients, and the scalar p/r in lowest terms with r > 0.  The
-monic-denominator form ``num``/``den`` is built from that only for output.
+leading coefficients, and the scalar p/r in lowest terms with r > 0.  A
+polynomial is the ``QRat`` it equals, with d = 1, under a thin wrapper that
+keeps results polynomial.  The monic-denominator form ``num``/``den`` is built
+from that only for output.
 
-Outside input is reduced with the heuristic integer gcd GCDHEU (Char, Geddes &
-Gonnet, 1989), which falls back to the primitive remainder sequence when the
-heuristic is unlucky.
+Values combine by Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2,
+4.5.1), reading n, d, p and r directly: a product n1 n2 / d1 d2 cancels only
+gcd(n1, d2) and gcd(n2, d1); a sum, with g = gcd(d1, d2), cancels only
+gcd(n1 (d2/g) + n2 (d1/g), g).  Inverses and powers take no gcd, so no gcd
+ever sees the double-degree result.  ``QRat(num, den)`` is num times the
+inverse of den, so this is the one reduction path.
 
-Two reduced values combine by Henrici's algorithms (JACM 3, 1956; Knuth,
-TAOCP vol. 2, 4.5.1), reading n, d, p and r directly: a product n1 n2 / d1 d2
-cancels only gcd(n1, d2) and gcd(n2, d1); a sum, with g = gcd(d1, d2),
-cancels only gcd(n1 (d2/g) + n2 (d1/g), g).  Inverses and powers take no gcd,
-so no gcd ever sees the double-degree result.
+The gcds are the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, 1989),
+which falls back to the primitive remainder sequence when the heuristic is
+unlucky.
 """
 
 from __future__ import annotations
@@ -60,14 +62,14 @@ def _format_terms(coeffs: tuple[Fraction, ...]) -> str:
 class QPoly:
     """Dense univariate polynomial in q over the rationals.
 
-    Stored as integer numerators over one positive common denominator that
-    shares no factor with all of them: ``(1/den) * sum(nums[i] q**i)``.  That
-    form is unique, so equality compares (nums, den).  ``coeffs[i]`` is the
-    rational coefficient of q**i, built on first use.  Trailing zeros are
-    stripped, so the zero polynomial has no coefficients and ``degree`` None.
+    A thin type over the ``QRat`` it equals: ``_x`` is that canonical value,
+    whose denominator d is 1, so the polynomial is (p/r) * n.  Equality,
+    hashing and arithmetic are the ``QRat`` ones, wrapped back into ``QPoly``.
+    ``coeffs[i]`` is the rational coefficient of q**i, built on first use.
+    The zero polynomial has no coefficients and ``degree`` None.
     """
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_x", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
@@ -75,7 +77,8 @@ class QPoly:
         nums = [c.numerator * (den // c.denominator) for c in cs]
         while nums and not nums[-1]:
             nums.pop()
-        self._nums, self._den, self._coeffs = tuple(nums), den if nums else 1, None
+        n, cont = _int_primitive(nums)
+        self._x, self._coeffs = _canonical(n, (1,), cont, den), None
 
     @classmethod
     def zero(cls) -> QPoly:
@@ -103,86 +106,63 @@ class QPoly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
-            self._coeffs = tuple(Fraction(n, self._den) for n in self._nums)
+            x = self._x
+            self._coeffs = tuple(Fraction(c * x._p, x._r) for c in x._n)
         return self._coeffs
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (never a number)."""
-        return len(self._nums) - 1 if self._nums else None
+        return len(self._x._n) - 1 if self._x._p else None
 
     @property
     def is_zero(self) -> bool:
-        return not self._nums
+        return not self._x._p
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._nums:
+        x = self._x
+        if not x._p:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(self._nums[-1], self._den)
+        return Fraction(x._n[-1] * x._p, x._r)
 
     def __bool__(self) -> bool:
-        return bool(self._nums)
+        return bool(self._x._p)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPoly):
-            return self._nums == other._nums and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self == _as_poly(other)
-        return NotImplemented
+        other = _coerce_rat(other)
+        return NotImplemented if other is None else self._x == other
 
     def __hash__(self) -> int:
-        # as equality does: a constant as its Fraction, anything else as its QRat
-        if len(self._nums) <= 1:
-            return hash(Fraction(self._nums[0], self._den) if self._nums else 0)
-        return hash(QRat(self))
+        return hash(self._x)
 
     def __neg__(self) -> QPoly:
-        return _poly([-c for c in self._nums], self._den)
+        return _wrap(-self._x)
 
     def __add__(self, other: QPoly | Scalar) -> QPoly:
-        if not isinstance(other, (QPoly, int, Fraction)):
-            return NotImplemented
-        other = _as_poly(other)
-        a, b, den = self._nums, other._nums, self._den
-        if den != other._den:
-            g = math.gcd(den, other._den)
-            fa, fb = other._den // g, den // g
-            a, b, den = [c * fa for c in a], [c * fb for c in b], den * fa
-        if len(a) < len(b):
-            a, b = b, a
-        return _reduced([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
+        other = _poly_operand(other)
+        return NotImplemented if other is None else _wrap(self._x + other)
 
     __radd__ = __add__
 
     def __sub__(self, other: QPoly | Scalar) -> QPoly:
-        if not isinstance(other, (QPoly, int, Fraction)):
-            return NotImplemented
-        return self + (-_as_poly(other))
+        other = _poly_operand(other)
+        return NotImplemented if other is None else _wrap(self._x - other)
 
     def __rsub__(self, other: QPoly | Scalar) -> QPoly:
-        if not isinstance(other, (QPoly, int, Fraction)):
-            return NotImplemented
-        return _as_poly(other) + (-self)
+        other = _poly_operand(other)
+        return NotImplemented if other is None else _wrap(other - self._x)
 
     def __mul__(self, other: QPoly | Scalar) -> QPoly:
-        if isinstance(other, (int, Fraction)):
-            other = _as_poly(other)
-        elif not isinstance(other, QPoly):
-            return NotImplemented
-        if not self._nums or not other._nums:
-            return _poly((), 1)
-        return _reduced(_int_mul(self._nums, other._nums), self._den * other._den)
+        other = _poly_operand(other)
+        return NotImplemented if other is None else _wrap(self._x * other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial; use QRat")
-        if not self._nums:
-            return self if n else QPoly.one()
-        # content and den stay coprime in a power, so the result is canonical
-        return _poly(_int_pow(self._nums, n), self._den ** n)
+        return _wrap(self._x ** n)
 
     def monic(self) -> QPoly:
         if self.is_zero:
@@ -191,14 +171,8 @@ class QPoly:
         return self if lc == 1 else self * (Fraction(1) / lc)
 
     def evaluate(self, q0: Scalar) -> Fraction:
-        """Exact value at q = q0 = p/s, by Horner over Z with one division at the end."""
-        p, s = Fraction(q0).as_integer_ratio()
-        acc, scale = 0, 1
-        for c in reversed(self._nums):
-            # acc / scale is the Horner value so far
-            scale *= s
-            acc = acc * p + c * scale
-        return Fraction(acc, scale * self._den)
+        """Exact value at q = q0."""
+        return self._x.evaluate(q0)
 
     def __str__(self) -> str:
         return _format_terms(self.coeffs)
@@ -207,30 +181,17 @@ class QPoly:
         return f"QPoly({list(self.coeffs)!r})"
 
 
-def _poly(nums: Iterable[int], den: int) -> QPoly:
-    # (1/den) * nums, already canonical: no trailing zero, den > 0 and in lowest terms.
-    p = object.__new__(QPoly)
-    p._nums, p._den, p._coeffs = tuple(nums), den, None
-    return p
+def _wrap(x: QRat) -> QPoly:
+    # the polynomial equal to x, a canonical QRat with d == (1,)
+    out = object.__new__(QPoly)
+    out._x, out._coeffs = x, None
+    return out
 
 
-def _reduced(nums: list[int], den: int) -> QPoly:
-    # (1/den) * nums for any den > 0: strip trailing zeros, cancel the common factor.
-    while nums and not nums[-1]:
-        nums.pop()
-    if den != 1:
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums, den = [c // g for c in nums], den // g
-    return _poly(nums, den)
-
-
-def _as_poly(x: QPoly | Scalar) -> QPoly:
-    if isinstance(x, QPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return _poly((x.numerator,) if x else (), x.denominator)
-    raise TypeError(f"cannot interpret {x!r} as a polynomial in q")
+def _poly_operand(x: object) -> QRat | None:
+    # a QPoly operator's other operand as a QRat; None for QRat, so that its
+    # reflected operator runs and the result stays rational
+    return None if isinstance(x, QRat) else _coerce_rat(x)
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -249,7 +210,9 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _int_pow(v: Sequence[int], k: int) -> Sequence[int]:
     # v**k for nonzero v by square and multiply: bit_length - 1 squarings and
-    # popcount - 1 products, none wasted.
+    # popcount - 1 products, none wasted; a constant takes none.
+    if len(v) == 1:
+        return [v[0] ** k]
     out = None
     while k:
         if k & 1:
@@ -322,6 +285,15 @@ def _int_eval(u: list[int], x: int) -> int:
     return acc
 
 
+def _int_horner(u: Sequence[int], p: int, s: int) -> tuple[int, int]:
+    # (acc, scale) with acc / scale = u(p/s): Horner over Z, no division
+    acc, scale = 0, 1
+    for c in reversed(u):
+        scale *= s
+        acc = acc * p + c * scale
+    return acc, scale
+
+
 _HEU_TRIES = 6
 
 
@@ -367,8 +339,8 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    g = _int_gcd(_int_primitive(a._nums)[0], _int_primitive(b._nums)[0])[0]
-    return _poly(g, g[-1])
+    g = _int_gcd(a._x._n, b._x._n)[0]
+    return _wrap(_canonical(g, (1,), 1, g[-1]))
 
 
 @functools.cache
@@ -406,7 +378,7 @@ def q_binomial(n: int, k: int) -> QPoly:
             for d, c in enumerate(row[j - 1]):
                 nxt[d] += c
             row[j] = nxt
-    return _poly(row[k], 1)
+    return _wrap(_canonical(row[k], (1,), 1, 1))
 
 
 class QRat:
@@ -421,37 +393,20 @@ class QRat:
 
     __slots__ = ("_n", "_d", "_p", "_r")
 
-    def __init__(self, num: QPoly | QRat | Scalar, den: QPoly | Scalar = 1) -> None:
-        if isinstance(num, QRat):
-            if _as_poly(den) != QPoly.one():
-                raise TypeError("cannot re-divide an already rational value")
-            self._n, self._d, self._p, self._r = num._n, num._d, num._p, num._r
-            return
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in Q(q)")
-        # num/den = (n_cont * n_prim / n_den) / (d_cont * d_prim / d_den): reduce over
-        # Z by cancelling the gcd of the primitive parts and folding the rest into
-        # one scalar.
-        n_prim, n_cont = _int_primitive(num._nums)
-        d_prim, d_cont = _int_primitive(den._nums)
-        if len(n_prim) > 1 and len(d_prim) > 1:
-            _, n_prim, d_prim = _int_gcd(n_prim, d_prim)
-        out = _canonical(n_prim, d_prim, n_cont * den._den, d_cont * num._den)
-        self._n, self._d, self._p, self._r = out._n, out._d, out._p, out._r
+    def __init__(self, num: QRat | QPoly | Scalar, den: QRat | QPoly | Scalar = 1) -> None:
+        """num / den for any two elements of Q(q): Henrici's product of num with
+        the inverse of den, the one reduction path."""
+        x = _require_rat(num) / _require_rat(den)
+        self._n, self._d, self._p, self._r = x._n, x._d, x._p, x._r
 
     @property
     def num(self) -> QPoly:
-        # the numerator over the monic den: x = p n / (r d[-1]) / (d / d[-1]), and
-        # gcd(p, r d[-1]) = gcd(p, d[-1])
-        ld = self._d[-1]
-        g = math.gcd(self._p, ld)
-        return _poly([c * (self._p // g) for c in self._n], self._r * ld // g)
+        # the numerator over the monic den: x = (p / (r d[-1])) n / (d / d[-1])
+        return _wrap(_canonical(self._n, (1,), self._p, self._r * self._d[-1]))
 
     @property
     def den(self) -> QPoly:
-        return _poly(self._d, self._d[-1])
+        return _wrap(_canonical(self._d, (1,), 1, self._d[-1]))
 
     @property
     def is_zero(self) -> bool:
@@ -562,10 +517,12 @@ class QRat:
 
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact rational value at q = q0; PoleError at denominator roots."""
-        d = _poly(self._d, 1).evaluate(q0)
-        if d == 0:
+        p, s = Fraction(q0).as_integer_ratio()
+        d, d_scale = _int_horner(self._d, p, s)
+        if not d:
             raise PoleError(f"denominator vanishes at q = {q0}")
-        return _poly(self._n, 1).evaluate(q0) * self._p / (self._r * d)
+        n, n_scale = _int_horner(self._n, p, s)
+        return Fraction(self._p * n * d_scale, self._r * n_scale * d)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -589,8 +546,10 @@ def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int) -> QRat:
 def _coerce_rat(x: object) -> QRat | None:
     if isinstance(x, QRat):
         return x
-    if isinstance(x, (QPoly, int, Fraction)):
-        return QRat(x)
+    if isinstance(x, QPoly):
+        return x._x
+    if isinstance(x, (int, Fraction)):
+        return _canonical((1,), (1,), x.numerator, x.denominator)
     return None
 
 
@@ -609,5 +568,5 @@ def q_power(e: int) -> QRat:
     return QRat(QPoly.one(), QPoly.monomial(1, -e))
 
 
-QRAT_ZERO = QRat(0)
-QRAT_ONE = QRat(1)
+QRAT_ZERO = _canonical((), (1,), 0, 1)
+QRAT_ONE = _canonical((1,), (1,), 1, 1)

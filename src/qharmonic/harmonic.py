@@ -193,5 +193,5 @@ def delta_qk_closed(seq: QSeq, n: int, k: int) -> QRat:
     for i in range(k + 1):
         sign = -1 if i & 1 else 1
         coeff = q_binomial(k, i) * QPoly.monomial(sign, i * (i + 1) // 2)
-        total = total + QRat(coeff) * seq(n + i)
+        total = total + seq(n + i) * coeff
     return total

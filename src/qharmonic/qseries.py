@@ -178,7 +178,7 @@ def mul_by_var(s: BiSeries, axis: AxisName) -> BiSeries:
     """Multiply by X or Y: a'(n,k) = [n]_q a(n-1,k); one order consumed on the axis."""
     dn, dk, vx, vy = _consume_order(s, axis)
     return BiSeries.from_function(
-        lambda n, k: (QRat(q_integer((n, k)[dk])) * s.coeff(n - dn, k - dk)
+        lambda n, k: (s.coeff(n - dn, k - dk) * q_integer((n, k)[dk])
                       if (n, k)[dk] >= 1 else QRAT_ZERO),
         vx, vy)
 
@@ -198,7 +198,7 @@ def series_mul(s: BiSeries, t: BiSeries) -> BiSeries:
                 b = t.coeff(n - i, k - j)
                 if b.is_zero:
                     continue
-                acc = acc + QRat(q_binomial(n, i) * q_binomial(k, j)) * a * b
+                acc = acc + a * (q_binomial(n, i) * q_binomial(k, j)) * b
         return acc
 
     return BiSeries.from_function(prod_coeff, vx, vy)
@@ -237,11 +237,11 @@ def qshift_product(first: int, last: int, valid_x: int, valid_y: int) -> BiSerie
         raise ValueError("shift exponents start at 1")
     *_, coeffs = _shift_products(first, last)
 
-    def coeff(n: int, k: int) -> QRat:
+    def coeff(n: int, k: int) -> QRat | QPoly:
         mono = coeffs.get((n, k))
         if mono is None:
             return QRAT_ZERO
-        return QRat(mono * q_factorial(n) * q_factorial(k))
+        return mono * q_factorial(n) * q_factorial(k)
 
     return BiSeries.from_function(coeff, valid_x, valid_y)
 
@@ -258,10 +258,10 @@ def f_a_series(seq: QSeq, valid_x: int, valid_y: int) -> BiSeries:
         an = seq(n)
         if an.is_zero:
             continue
-        weight = an / QRat(q_factorial(n))
+        weight = an / q_factorial(n)
         for (i, jj), c in coeffs.items():
             if i <= valid_x and jj <= valid_y and not c.is_zero:
-                rows[i][jj] = rows[i][jj] + weight * QRat(c * q_factorial(i) * q_factorial(jj))
+                rows[i][jj] = rows[i][jj] + weight * (c * q_factorial(i) * q_factorial(jj))
     return BiSeries(rows)
 
 
@@ -350,7 +350,7 @@ def diag_q_integer(offset: int) -> SeriesOp:
     no division by the polynomial 1 - q ever happens at the array level.
     """
     return SeriesOp(lambda s: BiSeries.from_function(
-        lambda n, k: QRat(q_integer(n + k + offset)) * s.coeff(n, k), s.valid_x, s.valid_y))
+        lambda n, k: s.coeff(n, k) * q_integer(n + k + offset), s.valid_x, s.valid_y))
 
 
 IDENTITY = scalar_op(QRAT_ONE)

@@ -137,6 +137,8 @@ def parse_config_text(text: str) -> CampaignConfig:
         val = val.strip()
         if key not in {f.name for f in fields(CampaignConfig)}:
             raise ValueError(f"unknown config key: {key!r}")
+        if key in values:
+            raise ValueError(f"repeated config key: {key!r}")
         items = tuple(t.strip() for t in val.split(",") if t.strip())
         try:
             if key == "identities":
@@ -344,12 +346,12 @@ def verify_inductive_relations(mu: MultiIndex, nu: MultiIndex, n_max: int, k_max
             for k in range(k_max + 1):
                 if (case == 1 and k < 1) or (case == 2 and n < 1):
                     continue
-                bracket = QRat(q_integer(n + k + 1)) * c_value(mu, nu, n, k)
+                bracket = c_value(mu, nu, n, k) * q_integer(n + k + 1)
                 if case == 1:
-                    bracket = bracket - QRat(q_integer(k)) * c_value(mu, nu, n, k - 1)
+                    bracket = bracket - c_value(mu, nu, n, k - 1) * q_integer(k)
                     lhs = q_power(-n - k - 1) * bracket
                 else:
-                    lhs = bracket - QRat(q_integer(n)) * c_value(mu, nu, n - 1, k)
+                    lhs = bracket - c_value(mu, nu, n - 1, k) * q_integer(n)
                 rhs = c_value(rmu, rnu, n, k)
                 params = {"mu": list(mu), "nu": list(nu), "case": case, "n": n, "k": k}
                 report.add(_qrat_record("prop340", params, lhs, rhs))
@@ -421,12 +423,12 @@ def _solve_shifted_lowering(case: int, image: BiSeries) -> BiSeries:
             if case == 1:
                 rhs = q_power(n + k + 2) * image.coeff(n, k)
                 if k:
-                    rhs = rhs + q_power(1) * QRat(q_integer(k)) * a[n][k - 1]
+                    rhs = rhs + q_power(1) * a[n][k - 1] * q_integer(k)
             else:
                 rhs = image.coeff(n, k)
                 if n:
-                    rhs = rhs + QRat(q_integer(n)) * a[n - 1][k]
-            a[n][k] = rhs / QRat(q_integer(n + k + 2))
+                    rhs = rhs + a[n - 1][k] * q_integer(n)
+            a[n][k] = rhs / q_integer(n + k + 2)
     return BiSeries(a)
 
 

@@ -77,6 +77,13 @@ def test_compute_pole(capsys):
     assert "vanishes" in err
 
 
+def test_compute_pole_prints_nothing_to_stdout(capsys):
+    code, out, err = run_cli(capsys, "compute", "a", "1", "1", "--at", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: denominator vanishes at q = -1\n"
+
+
 def test_compute_bad_point_is_rejected_before_the_value(capsys):
     code, out, err = run_cli(capsys, "compute", "a", "1,1", "3", "--at", "abc")
     assert code == 2
@@ -140,6 +147,15 @@ def test_campaign_bad_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, "campaign", "--config", str(config))
     assert code == 2
     assert "unknown identities" in err
+
+
+def test_campaign_repeated_config_key(tmp_path, capsys):
+    config = tmp_path / "twice.cfg"
+    config.write_text("max_n = 2\nmax_k = 1\nmax_n: 3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "campaign", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "repeated config key: 'max_n'" in err
 
 
 def test_campaign_missing_config_file(tmp_path, capsys):

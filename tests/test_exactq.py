@@ -53,22 +53,27 @@ class TestQPoly:
         assert p ** 3 == QPoly((1, 3, 3, 1))
 
     def test_power_takes_square_and_multiply_products(self, monkeypatch):
+        # Powers multiply integer coefficient lists in exactq._int_mul: count those.
         p = QPoly((1, -2, Fraction(1, 3)))
-        mul = QPoly.__mul__
-        calls = []
+        x = QRat(QPoly((1, -2, Fraction(1, 3))), QPoly((3, 0, 1)))
+        wants = [(QPoly.one(), QRat(1))]
+        for _ in range(9):
+            wants.append((wants[-1][0] * p, wants[-1][1] * x))
+        int_mul, calls = exactq._int_mul, []
 
-        def counting_mul(self, other):
+        def counting_mul(a, b):
             calls.append(None)
-            return mul(self, other)
+            return int_mul(a, b)
 
-        monkeypatch.setattr(QPoly, "__mul__", counting_mul)
-        want = QPoly.one()
-        for n in range(10):
-            calls.clear()
-            assert p ** n == want, n
-            # a square per bit below the top one, a product per set bit past the first
-            assert len(calls) <= max(0, n.bit_length() + bin(n).count("1") - 2), n
-            want = mul(want, p)
+        monkeypatch.setattr(exactq, "_int_mul", counting_mul)
+        for n, (want_p, want_x) in enumerate(wants):
+            # a square per bit below the top one, a product per set bit past the
+            # first, for each non-constant list raised: n of p; n and d of x
+            bound = max(0, n.bit_length() + bin(n).count("1") - 2)
+            for base, want, raised in ((p, want_p, 1), (x, want_x, 2)):
+                calls.clear()
+                assert base ** n == want, (base, n)
+                assert len(calls) <= raised * bound, (base, n)
 
     def test_monic_and_evaluate(self):
         p = QPoly((2, 0, 4))
@@ -239,6 +244,57 @@ class TestQRat:
             x + y
             assert len(calls) == 1, (x, y)
 
+    def test_constructor_is_the_quotient(self):
+        # QRat(num, den) is num / den for any two elements of Q(q).
+        values = [QRat(QPoly((1, 1)), QPoly((0, 3))), QRat(QPoly((2, 0, -1)), QPoly((1, 1))),
+                  QRat(Fraction(-5, 6)), QRat(0), QPoly((1, 2, 1)), QPoly((Fraction(1, 2), 0, 3)),
+                  QPoly.constant(7), QPoly(), 3, -1, 0, Fraction(2, 9), Fraction(-4, 3)]
+        points = (Fraction(2, 3), Fraction(-5, 2), Fraction(7))
+
+        def at(v, q0):
+            return v.evaluate(q0) if isinstance(v, (QPoly, QRat)) else Fraction(v)
+
+        for x in values:
+            for y in values:
+                if not y:
+                    with pytest.raises(ZeroDivisionError):
+                        QRat(x, y)
+                    continue
+                got = QRat(x, y)
+                _assert_canonical_rat(got)
+                assert got == QRat(1) * x / y, (x, y)
+                for q0 in points:
+                    assert got.evaluate(q0) == at(x, q0) / at(y, q0), (x, y, q0)
+
+    def test_q_integer_operand_is_not_re_split(self, monkeypatch):
+        # A cached polynomial enters a product as the QRat it holds: neither
+        # order splits it into content and primitive part again.
+        calls, depth = [], [0]
+        primitive, gcd = exactq._int_primitive, exactq._int_gcd
+
+        def counting_primitive(v):
+            if not depth[0]:
+                calls.append(None)
+            return primitive(v)
+
+        def quiet_gcd(u, v):
+            depth[0] += 1
+            try:
+                return gcd(u, v)
+            finally:
+                depth[0] -= 1
+
+        five = q_integer(5)
+        values = [QRat(QPoly((1, 1)), QPoly((0, 3))), QRat(QPoly((2, -1)), five * QPoly((1, 1))),
+                  QRat(Fraction(-5, 6)), QRat(0), QRat(QPoly((1, 1)), five)]
+        monkeypatch.setattr(exactq, "_int_primitive", counting_primitive)
+        monkeypatch.setattr(exactq, "_int_gcd", quiet_gcd)
+        for x in values:
+            calls.clear()
+            left, right = five * x, x * five
+            assert len(calls) == 0, x
+            assert left == right and isinstance(left, QRat), x
+
 
 def _polys(max_deg=3, bound=4):
     return st.builds(
@@ -348,12 +404,26 @@ def _random_fracs(rng, max_len=7):
                       for _ in range(rng.randint(0, max_len)))
 
 
+def _assert_stored_form(x: QRat):
+    # (p/r) * n/d: n, d coprime primitive tuples with positive leads, r > 0 and
+    # gcd(p, r) = 1; zero is ((), (1,), 0, 1)
+    n, d, p, s = x._n, x._d, x._p, x._r
+    assert isinstance(n, tuple) and isinstance(d, tuple)
+    assert s > 0 and math.gcd(p, s) == 1
+    if not p:
+        assert (n, d, s) == ((), (1,), 1)
+    else:
+        for v in (n, d):
+            assert v[-1] > 0 and math.gcd(*v) == 1
+        assert exactq._int_gcd(n, d)[0] == [1]
+
+
 def _assert_canonical(p: QPoly):
-    nums, den = p._nums, p._den
-    assert den > 0 and math.gcd(den, *nums) == 1
-    assert not nums or nums[-1] != 0
-    assert nums or den == 1
-    assert p.coeffs == tuple(Fraction(n, den) for n in nums)
+    # a polynomial is the canonical QRat it equals, with d == (1,)
+    x = p._x
+    assert isinstance(x, QRat) and x._d == (1,)
+    _assert_stored_form(x)
+    assert p.coeffs == tuple(Fraction(c * x._p, x._r) for c in x._n)
 
 
 def test_qpoly_ops_against_fraction_reference():
@@ -550,15 +620,7 @@ def _henrici_corpus(seed, count):
 
 def _assert_canonical_rat(r: QRat):
     # the stored form (p/r) * n/d ...
-    n, d, p, s = r._n, r._d, r._p, r._r
-    assert isinstance(n, tuple) and isinstance(d, tuple)
-    assert s > 0 and math.gcd(p, s) == 1
-    if not p:
-        assert (n, d, s) == ((), (1,), 1)
-    else:
-        for v in (n, d):
-            assert v[-1] > 0 and math.gcd(*v) == 1
-        assert exactq._int_gcd(n, d)[0] == [1]
+    _assert_stored_form(r)
     # ... and the monic pair built from it
     _assert_canonical(r.num)
     _assert_canonical(r.den)
