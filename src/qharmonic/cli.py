@@ -77,9 +77,18 @@ def _print_qrat(value: QRat, q0: Fraction | None) -> None:
         print(f"value at q = {q0}: {at}")
 
 
+def _parse_point(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad evaluation point {text!r}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"bad evaluation point {text!r}: not a rational number") from None
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     # a bad point is rejected before the value is computed or printed
-    q0 = None if args.at is None else Fraction(args.at)
+    q0 = None if args.at is None else _parse_point(args.at)
     if args.kind in ("a", "b"):
         if len(args.args) != 2:
             raise ValueError(f"compute {args.kind} takes <mu> <n>")

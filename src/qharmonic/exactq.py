@@ -5,19 +5,24 @@ the indeterminate q (``QPoly``), and the q-combinatorial primitives built on
 them: q-integers, q-factorials and Gaussian binomial coefficients.
 
 All values are immutable and kept in one canonical form, so structural
-equality decides equality in Q(q).  A rational function is stored as
-(p/r) * n/d: n and d coprime primitive integer polynomials with positive
-leading coefficients, and the scalar p/r in lowest terms with r > 0.  A
-polynomial is the ``QRat`` it equals, with d = 1, under a thin wrapper that
-keeps results polynomial.  The monic-denominator form ``num``/``den`` is built
-from that only for output.
+equality decides equality in Q(q).  A rational function is stored in Laurent
+form (p/r) * q^e * n/d: n and d coprime primitive integer polynomials with
+positive leading coefficients and nonzero constant terms, the scalar p/r in
+lowest terms with r > 0, and the power of q an integer exponent e.  A
+polynomial is the ``QRat`` it equals, with d = 1 and e >= 0, under a thin
+wrapper that keeps results polynomial.  The monic-denominator form
+``num``/``den`` is built from that only for output.
 
 Values combine by Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2,
-4.5.1), reading n, d, p and r directly: a product n1 n2 / d1 d2 cancels only
-gcd(n1, d2) and gcd(n2, d1); a sum, with g = gcd(d1, d2), cancels only
-gcd(n1 (d2/g) + n2 (d1/g), g).  Inverses and powers take no gcd, so no gcd
-ever sees the double-degree result.  ``QRat(num, den)`` is num times the
-inverse of den, so this is the one reduction path.
+4.5.1), reading n, d, p, r and e directly: a product n1 n2 / d1 d2 cancels
+only gcd(n1, d2) and gcd(n2, d1); a sum, with g = gcd(d1, d2), cancels only
+gcd(n1 (d2/g) + n2 (d1/g), g) after shifting the numerator of the operand
+with the larger exponent to the smaller one.  Inverses and powers take no
+gcd, so no gcd ever sees the double-degree result, and since n and d are
+q-free no gcd sees a factor q.  A unit, a scalar times q^e (n = d = 1),
+multiplies by changing p, r and e alone, with no polynomial product.
+``QRat(num, den)`` is num times the inverse of den, so this is the one
+reduction path.
 
 The gcds are the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, 1989),
 which falls back to the primitive remainder sequence when the heuristic is
@@ -63,8 +68,9 @@ class QPoly:
     """Dense univariate polynomial in q over the rationals.
 
     A thin type over the ``QRat`` it equals: ``_x`` is that canonical value,
-    whose denominator d is 1, so the polynomial is (p/r) * n.  Equality,
-    hashing and arithmetic are the ``QRat`` ones, wrapped back into ``QPoly``.
+    whose denominator d is 1 and exponent e >= 0, so the polynomial is
+    (p/r) * q^e * n.  Equality, hashing and arithmetic are the ``QRat`` ones,
+    wrapped back into ``QPoly``.
     ``coeffs[i]`` is the rational coefficient of q**i, built on first use.
     The zero polynomial has no coefficients and ``degree`` None.
     """
@@ -78,7 +84,7 @@ class QPoly:
         while nums and not nums[-1]:
             nums.pop()
         n, cont = _int_primitive(nums)
-        self._x, self._coeffs = _canonical(n, (1,), cont, den), None
+        self._x, self._coeffs = _canonical(n, (1,), cont, den, 0), None
 
     @classmethod
     def zero(cls) -> QPoly:
@@ -107,13 +113,15 @@ class QPoly:
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
             x = self._x
-            self._coeffs = tuple(Fraction(c * x._p, x._r) for c in x._n)
+            self._coeffs = ((Fraction(0),) * x._e
+                            + tuple(Fraction(c * x._p, x._r) for c in x._n))
         return self._coeffs
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (never a number)."""
-        return len(self._x._n) - 1 if self._x._p else None
+        x = self._x
+        return x._e + len(x._n) - 1 if x._p else None
 
     @property
     def is_zero(self) -> bool:
@@ -340,7 +348,7 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
     if b.is_zero:
         return a.monic()
     g = _int_gcd(a._x._n, b._x._n)[0]
-    return _wrap(_canonical(g, (1,), 1, g[-1]))
+    return _wrap(_canonical(g, (1,), 1, g[-1], min(a._x._e, b._x._e)))
 
 
 @functools.cache
@@ -378,35 +386,38 @@ def q_binomial(n: int, k: int) -> QPoly:
             for d, c in enumerate(row[j - 1]):
                 nxt[d] += c
             row[j] = nxt
-    return _wrap(_canonical(row[k], (1,), 1, 1))
+    return _wrap(_canonical(row[k], (1,), 1, 1, 0))
 
 
 class QRat:
-    """Reduced element of Q(q), stored as x = (p/r) * n/d.
+    """Reduced element of Q(q), stored in Laurent form x = (p/r) * q^e * n/d.
 
     n and d are coprime primitive integer coefficient tuples with positive
-    leading coefficients, r > 0 and gcd(p, r) = 1; zero is ((), (1,), 0, 1).
-    That form is unique, so two values are equal in Q(q) exactly when they are
-    structurally equal.  The monic-denominator pair ``num``/``den`` is built
-    from it on each request, for output only.
+    leading coefficients and nonzero constant terms, r > 0, gcd(p, r) = 1 and
+    e is an integer; zero is ((), (1,), 0, 1, 0).  That form is unique, so two
+    values are equal in Q(q) exactly when they are structurally equal.  A unit,
+    a scalar times q^e, has n = d = (1,).  The monic-denominator pair
+    ``num``/``den`` is built from it on each request, for output only: the
+    power q^e goes to ``num`` when e > 0 and to ``den`` when e < 0.
     """
 
-    __slots__ = ("_n", "_d", "_p", "_r")
+    __slots__ = ("_n", "_d", "_p", "_r", "_e")
 
     def __init__(self, num: QRat | QPoly | Scalar, den: QRat | QPoly | Scalar = 1) -> None:
         """num / den for any two elements of Q(q): Henrici's product of num with
         the inverse of den, the one reduction path."""
         x = _require_rat(num) / _require_rat(den)
-        self._n, self._d, self._p, self._r = x._n, x._d, x._p, x._r
+        self._n, self._d, self._p, self._r, self._e = x._n, x._d, x._p, x._r, x._e
 
     @property
     def num(self) -> QPoly:
-        # the numerator over the monic den: x = (p / (r d[-1])) n / (d / d[-1])
-        return _wrap(_canonical(self._n, (1,), self._p, self._r * self._d[-1]))
+        # the numerator over the monic den: x = (p / (r d[-1])) q^e n / (d / d[-1])
+        return _wrap(_canonical(self._n, (1,), self._p, self._r * self._d[-1],
+                                max(self._e, 0)))
 
     @property
     def den(self) -> QPoly:
-        return _wrap(_canonical(self._d, (1,), 1, self._d[-1]))
+        return _wrap(_canonical(self._d, (1,), 1, self._d[-1], max(-self._e, 0)))
 
     @property
     def is_zero(self) -> bool:
@@ -419,17 +430,17 @@ class QRat:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
-        return (self._p == other._p and self._r == other._r
+        return (self._p == other._p and self._r == other._r and self._e == other._e
                 and self._n == other._n and self._d == other._d)
 
     def __hash__(self) -> int:
         # a constant equals its int or Fraction, so it hashes as that value
-        if len(self._n) <= 1 and len(self._d) == 1:
+        if len(self._n) <= 1 and len(self._d) == 1 and not self._e:
             return hash(Fraction(self._p, self._r))
-        return hash((self._n, self._d, self._p, self._r))
+        return hash((self._n, self._d, self._p, self._r, self._e))
 
     def __neg__(self) -> QRat:
-        return _canonical(self._n, self._d, -self._p, self._r)
+        return _canonical(self._n, self._d, -self._p, self._r, self._e)
 
     def __add__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -437,26 +448,37 @@ class QRat:
             return NotImplemented
         if not self._p or not other._p:
             return self if self._p else other
-        n1, d1, p1, r1 = self._n, self._d, self._p, self._r
-        n2, d2, p2, r2 = other._n, other._d, other._p, other._r
-        # Henrici: with g = gcd(d1, d2) and e_i = d_i/g, the sum is t / (e1 e2 g) over
-        # r1 r2 for t = p1 r2 n1 e2 + p2 r1 n2 e1, and only gcd(t, g) can cancel.
-        g, e1, e2 = (1,), d1, d2
+        n1, d1, p1, r1, e1 = self._n, self._d, self._p, self._r, self._e
+        n2, d2, p2, r2, e2 = other._n, other._d, other._p, other._r, other._e
+        # Henrici: with g = gcd(d1, d2) and c_i = d_i/g, the sum is q^min(e1, e2) t /
+        # (c1 c2 g) over r1 r2 for t = p1 r2 n1 c2 q^(e1-min) + p2 r1 n2 c1 q^(e2-min),
+        # and only gcd(t, g) can cancel.
+        g, c1, c2 = (1,), d1, d2
         if d1 == d2:
-            g, e1, e2 = d1, (1,), (1,)
+            g, c1, c2 = d1, (1,), (1,)
         elif len(d1) > 1 and len(d2) > 1:
-            g, e1, e2 = _int_gcd(d1, d2)
-        a = _int_mul(n1, [p1 * r2 * c for c in e2])
-        b = _int_mul(n2, [p2 * r1 * c for c in e1])
+            g, c1, c2 = _int_gcd(d1, d2)
+        a = _int_mul(n1, [p1 * r2 * c for c in c2])
+        b = _int_mul(n2, [p2 * r1 * c for c in c1])
+        # shift the operand with the larger exponent down to e = min(e1, e2)
+        if e1 > e2:
+            a = [0] * (e1 - e2) + a
+        elif e2 > e1:
+            b = [0] * (e2 - e1) + b
         if len(a) < len(b):
             a, b = b, a
         t = [x + y for x, y in zip(a, b)] + a[len(b):]
         while t and not t[-1]:
             t.pop()
         t, t_cont = _int_primitive(t)
+        e = min(e1, e2)
+        if t_cont and not t[0]:
+            # an equal-exponent sum cancelled in its low terms: q^k leaves t first
+            k = _low_zeros(t)
+            t, e = t[k:], e + k
         if len(t) > 1 and len(g) > 1:
             _, t, g = _int_gcd(t, g)
-        return _canonical(t, _int_mul(_int_mul(e1, e2), g), t_cont, r1 * r2)
+        return _canonical(t, _int_mul(_int_mul(c1, c2), g), t_cont, r1 * r2, e)
 
     __radd__ = __add__
 
@@ -479,6 +501,12 @@ class QRat:
         if not self._p or not other._p:
             return QRAT_ZERO
         n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        p, r, e = self._p * other._p, self._r * other._r, self._e + other._e
+        # A unit (n = d = 1) changes only the scalar and the power of q.
+        if len(n1) == 1 and len(d1) == 1:
+            return _canonical(n2, d2, p, r, e)
+        if len(n2) == 1 and len(d2) == 1:
+            return _canonical(n1, d1, p, r, e)
         # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
         # can cancel from the product, and each involves one operand's degree only.
         # A constant operand leaves nothing to cancel, so it takes no gcd call.
@@ -486,8 +514,7 @@ class QRat:
             _, n1, d2 = _int_gcd(n1, d2)
         if len(n2) > 1 and len(d1) > 1:
             _, n2, d1 = _int_gcd(n2, d1)
-        return _canonical(_int_mul(n1, n2), _int_mul(d1, d2), self._p * other._p,
-                          self._r * other._r)
+        return _canonical(_int_mul(n1, n2), _int_mul(d1, d2), p, r, e)
 
     __rmul__ = __mul__
 
@@ -497,7 +524,7 @@ class QRat:
             return NotImplemented
         if not other._p:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return self * _canonical(other._d, other._n, other._r, other._p)
+        return self * _canonical(other._d, other._n, other._r, other._p, -other._e)
 
     def __rtruediv__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -509,20 +536,24 @@ class QRat:
         if n < 0:
             if not self._p:
                 raise ZeroDivisionError("zero has no negative powers")
-            return _canonical(self._d, self._n, self._r, self._p) ** -n
+            return _canonical(self._d, self._n, self._r, self._p, -self._e) ** -n
         if not self._p:
             return self if n else QRAT_ONE
         # powers of coprime primitive n and d stay coprime and primitive
-        return _canonical(_int_pow(self._n, n), _int_pow(self._d, n), self._p ** n, self._r ** n)
+        return _canonical(_int_pow(self._n, n), _int_pow(self._d, n), self._p ** n,
+                          self._r ** n, self._e * n)
 
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact rational value at q = q0; PoleError at denominator roots."""
         p, s = Fraction(q0).as_integer_ratio()
         d, d_scale = _int_horner(self._d, p, s)
-        if not d:
+        e = self._e
+        if not d or (e < 0 and not p):
             raise PoleError(f"denominator vanishes at q = {q0}")
         n, n_scale = _int_horner(self._n, p, s)
-        return Fraction(self._p * n * d_scale, self._r * n_scale * d)
+        # q0^e = p^e / s^e moves to the other side when e < 0
+        up, down = (p ** e, s ** e) if e >= 0 else (s ** -e, p ** -e)
+        return Fraction(self._p * n * d_scale * up, self._r * n_scale * d * down)
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -531,15 +562,27 @@ class QRat:
         return f"QRat({self.num!r}, {self.den!r})"
 
 
-def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int) -> QRat:
-    # (p/r) * n/d for coprime primitive n, d with positive leads and r != 0: only
-    # the sign and the gcd of the scalar are left to fix.
+def _low_zeros(v: Sequence[int]) -> int:
+    # the number of zero coefficients below the first nonzero one of v
+    return next(i for i, c in enumerate(v) if c)
+
+
+def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int, e: int) -> QRat:
+    # (p/r) * q^e * n/d for coprime primitive n, d with positive leads and r != 0:
+    # the low zeros of n and d move into e, then only the sign and the gcd of the
+    # scalar are left to fix.
     out = object.__new__(QRat)
     if not p:
-        out._n, out._d, out._p, out._r = (), (1,), 0, 1
+        out._n, out._d, out._p, out._r, out._e = (), (1,), 0, 1, 0
         return out
+    if not n[0]:
+        k = _low_zeros(n)
+        n, e = n[k:], e + k
+    if not d[0]:
+        k = _low_zeros(d)
+        d, e = d[k:], e - k
     g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
-    out._n, out._d, out._p, out._r = tuple(n), tuple(d), p // g, r // g
+    out._n, out._d, out._p, out._r, out._e = tuple(n), tuple(d), p // g, r // g, e
     return out
 
 
@@ -549,7 +592,7 @@ def _coerce_rat(x: object) -> QRat | None:
     if isinstance(x, QPoly):
         return x._x
     if isinstance(x, (int, Fraction)):
-        return _canonical((1,), (1,), x.numerator, x.denominator)
+        return _canonical((1,), (1,), x.numerator, x.denominator, 0)
     return None
 
 
@@ -562,11 +605,11 @@ def _require_rat(x: QRat | QPoly | Scalar) -> QRat:
 
 @functools.cache
 def q_power(e: int) -> QRat:
-    """q**e as an element of Q(q); e may be negative."""
-    if e >= 0:
-        return QRat(QPoly.monomial(1, e))
-    return QRat(QPoly.one(), QPoly.monomial(1, -e))
+    """q**e as an element of Q(q), the unit with exponent e; e may be negative."""
+    if not isinstance(e, int):
+        raise ValueError(f"q_power exponent must be an integer, got {e!r}")
+    return _canonical((1,), (1,), 1, 1, e)
 
 
-QRAT_ZERO = _canonical((), (1,), 0, 1)
-QRAT_ONE = _canonical((1,), (1,), 1, 1)
+QRAT_ZERO = _canonical((), (1,), 0, 1, 0)
+QRAT_ONE = _canonical((1,), (1,), 1, 1, 0)

@@ -16,7 +16,13 @@ class MultiIndex(tuple):
     """Immutable multi-index (mu_1, ..., mu_p) of positive integers."""
 
     def __new__(cls, parts: Iterable[int]) -> MultiIndex:
-        parts = tuple(int(p) for p in parts)
+        if type(parts) is cls:  # immutable and already checked
+            return parts
+        given = tuple(parts)
+        parts = tuple(int(p) for p in given)
+        if parts != given:
+            bad = next(g for g, p in zip(given, parts) if g != p)
+            raise ValueError(f"multi-index parts must be integers: {bad!r}")
         if not parts:
             raise ValueError("a multi-index must have at least one part")
         if any(p < 1 for p in parts):

@@ -91,6 +91,13 @@ def test_compute_bad_point_is_rejected_before_the_value(capsys):
     assert "abc" in err
 
 
+def test_compute_names_a_zero_denominator_point(capsys):
+    code, out, err = run_cli(capsys, "compute", "a", "1", "1", "--at", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad evaluation point '1/0': zero denominator\n"
+
+
 @pytest.mark.parametrize(
     "tokens", [(t,) for t in IDENTITY_TOKENS] + [SERIES_TOKENS],
     ids=list(IDENTITY_TOKENS) + ["series"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import random
 from fractions import Fraction
 from functools import reduce
@@ -405,25 +406,26 @@ def _random_fracs(rng, max_len=7):
 
 
 def _assert_stored_form(x: QRat):
-    # (p/r) * n/d: n, d coprime primitive tuples with positive leads, r > 0 and
-    # gcd(p, r) = 1; zero is ((), (1,), 0, 1)
-    n, d, p, s = x._n, x._d, x._p, x._r
-    assert isinstance(n, tuple) and isinstance(d, tuple)
+    # (p/r) * q^e * n/d: n, d coprime primitive tuples with positive leads and
+    # nonzero constant terms, r > 0, gcd(p, r) = 1 and e an int; zero is
+    # ((), (1,), 0, 1, 0)
+    n, d, p, s, e = x._n, x._d, x._p, x._r, x._e
+    assert isinstance(n, tuple) and isinstance(d, tuple) and isinstance(e, int)
     assert s > 0 and math.gcd(p, s) == 1
     if not p:
-        assert (n, d, s) == ((), (1,), 1)
+        assert (n, d, s, e) == ((), (1,), 1, 0)
     else:
         for v in (n, d):
-            assert v[-1] > 0 and math.gcd(*v) == 1
+            assert v[-1] > 0 and v[0] != 0 and math.gcd(*v) == 1
         assert exactq._int_gcd(n, d)[0] == [1]
 
 
 def _assert_canonical(p: QPoly):
-    # a polynomial is the canonical QRat it equals, with d == (1,)
+    # a polynomial is the canonical QRat it equals, with d == (1,) and e >= 0
     x = p._x
-    assert isinstance(x, QRat) and x._d == (1,)
+    assert isinstance(x, QRat) and x._d == (1,) and x._e >= 0
     _assert_stored_form(x)
-    assert p.coeffs == tuple(Fraction(c * x._p, x._r) for c in x._n)
+    assert p.coeffs == (0,) * x._e + tuple(Fraction(c * x._p, x._r) for c in x._n)
 
 
 def test_qpoly_ops_against_fraction_reference():
@@ -673,3 +675,128 @@ def test_henrici_product_gcds_stay_below_operand_degree(monkeypatch):
         sizes.clear()
         x * y
         assert max(sizes, default=0) <= bound, (x, y)
+
+
+# --- Laurent form: the power of q is the exponent e ---------------------------
+
+
+def _laurent_corpus(seed, count):
+    # Values (p/r) q^e n/d with factors of q in the numerator or the denominator
+    # they were built from, as reference pairs of Fraction coefficient lists.
+    rng = random.Random(seed)
+
+    def coeffs(nonzero):
+        while True:
+            cs = [0] * rng.randint(0, 3) + [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                              for _ in range(rng.randint(1, 3))]
+            if not nonzero or any(cs):
+                return _ref_strip(cs)
+
+    out = [((0, 0, 1, 2), (0, 3, 1)), ((1, 1), (0, 0, 0, 2)), ((0, 0, 5),), ((3,),)]
+    out = [(_ref_strip(p[0]), _ref_strip(p[1] if len(p) > 1 else (1,))) for p in out]
+    out += [(coeffs(False), coeffs(True)) for _ in range(count)]
+    return [(QRat(QPoly(n), QPoly(d)), n, d) for n, d in out]
+
+
+def _ref_value(n, d, q0):
+    # n(q0) / d(q0) straight from the reference coefficient lists
+    return _fraction_horner(n, q0) / _fraction_horner(d, q0)
+
+
+def test_laurent_ops_against_fraction_reference():
+    points = (Fraction(2, 3), Fraction(-5, 2), Fraction(7), Fraction(-1, 4), Fraction(0))
+    corpus = _laurent_corpus(43, 40)
+    rng = random.Random(44)
+    for _ in range(400):
+        (x, xn, xd), (y, yn, yd) = rng.choice(corpus), rng.choice(corpus)
+        k = rng.randint(-3, 3)
+        if rng.random() < 0.3:
+            # y = q^j z - x: the sum cancels x's low terms, at equal exponents
+            j = rng.randint(1, 3)
+            z, zn, zd = rng.choice(corpus)
+            y = QRat(QPoly((0,) * j + zn), QPoly(zd)) - x
+            yn = _ref_add(_ref_mul((0,) * j + zn, xd), _ref_mul(xn, tuple(-c for c in zd)))
+            yd = _ref_mul(zd, xd)
+        cases = [
+            (x + y, _ref_add(_ref_mul(xn, yd), _ref_mul(yn, xd)), _ref_mul(xd, yd)),
+            (x - y, _ref_add(_ref_mul(xn, yd), _ref_mul(yn, tuple(-c for c in xd))),
+             _ref_mul(xd, yd)),
+            (x * y, _ref_mul(xn, yn), _ref_mul(xd, yd)),
+        ]
+        if y:
+            cases.append((x / y, _ref_mul(xn, yd), _ref_mul(xd, yn)))
+        if x or k >= 0:
+            num, den = (xn, xd) if k >= 0 else (xd, xn)
+            cases.append((x ** k, reduce(_ref_mul, [num] * abs(k), (Fraction(1),)),
+                          reduce(_ref_mul, [den] * abs(k), (Fraction(1),))))
+        for got, rn, rd in cases:
+            _assert_canonical_rat(got)
+            # got = rn / rd exactly, by cross-multiplication over Fraction
+            assert _ref_mul(got.num.coeffs, rd) == _ref_mul(rn, got.den.coeffs), (x, y, got)
+            for q0 in points:
+                if _fraction_horner(rd, q0):
+                    assert got.evaluate(q0) == _ref_value(rn, rd, q0), (x, y, got, q0)
+
+
+def test_unit_products_do_no_polynomial_work(monkeypatch):
+    # A scalar times q^e multiplies by changing p, r and e alone: no integer
+    # product and no gcd, and the result is the one the generic route gives.
+    values = [x for x, _, _ in _laurent_corpus(45, 12)] + [QRat(0), QRat(Fraction(-2, 7))]
+    units = [q_power(3), q_power(-1), q_power(0), Fraction(3, 2), -5]
+    cases = []
+    for x in values:
+        for u in units:
+            want = QRat(x.num * QRat(u).num, x.den * QRat(u).den)
+            cases += [(lambda x=x, u=u: u * x, want), (lambda x=x, u=u: x * u, want)]
+        want = QRat(x.num, x.den * QPoly.monomial(1, 4))
+        cases.append((lambda x=x: x * q_power(-4), want))
+    calls = []
+
+    def counting(name):
+        original = getattr(exactq, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(exactq, "_int_mul", counting("_int_mul"))
+    monkeypatch.setattr(exactq, "_int_gcd", counting("_int_gcd"))
+    for product, want in cases:
+        calls.clear()
+        got = product()
+        assert calls == [], (got, calls)
+        assert got == want
+    monkeypatch.undo()
+    for product, want in cases:
+        _assert_canonical_rat(product())
+
+
+def test_exponent_enters_equality_and_hash():
+    # q-shifts of one value are distinct values with distinct hashes; -2 is left
+    # out because CPython hashes the ints -1 and -2 alike
+    for x in (QRat(1), QRat(Fraction(-3, 4)), QRat(QPoly((1, 1)), QPoly((2, 1)))):
+        shifts = [q_power(e) * x for e in (-3, -1, 0, 1, 2, 5)]
+        assert len({hash(s) for s in shifts}) == len(shifts), x
+        for i, s in enumerate(shifts):
+            for j, t in enumerate(shifts):
+                assert (s == t) == (i == j), (x, i, j)
+
+
+def test_evaluate_at_zero():
+    pole = QRat(QPoly((1, 1)), QPoly((0, 0, 3, 1)))
+    for x in (pole, q_power(-1), QRat(QPoly((0, 1)), QPoly((0, 0, 1)))):
+        with pytest.raises(PoleError, match=r"^denominator vanishes at q = 0$"):
+            x.evaluate(0)
+    assert QRat(QPoly((0, 0, 2, 1)), QPoly((3, 1))).evaluate(0) == 0
+    assert QRat(QPoly((5, 1)), QPoly((3, 1))).evaluate(Fraction(0)) == Fraction(5, 3)
+    assert QRat(QPoly((0, 5, 1)), QPoly((0, 3, 1))).evaluate(0) == Fraction(5, 3)
+    assert q_power(0).evaluate(0) == 1 and q_power(2).evaluate(0) == 0
+    assert QPoly((0, 0, 4)).evaluate(0) == 0 and QRat(0).evaluate(0) == 0
+
+
+def test_q_power_rejects_non_integer_exponent():
+    for e in (1.5, 2.0, Fraction(1, 2), "2"):
+        with pytest.raises(ValueError, match=re.escape(repr(e))):
+            q_power(e)
+    assert q_power(3) == QPoly.monomial(1, 3) and q_power(-2) * q_power(2) == 1

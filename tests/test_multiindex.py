@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qharmonic.harmonic import c_value
 from qharmonic.multiindex import (
     MultiIndex,
     enumerate_by_weight,
@@ -105,3 +106,16 @@ def test_parse_multiindex():
     for bad in ("", ",", "1,,2", "0", "-1,2", "a,b", "1.5"):
         with pytest.raises(ValueError):
             parse_multiindex(bad)
+
+
+def test_construction_rejects_non_integral_parts():
+    for parts, bad in (([1.5], "1.5"), ([2.9, 1], "2.9"), ([1, "2"], "'2'")):
+        with pytest.raises(ValueError, match=f"integers: {bad}$"):
+            MultiIndex(parts)
+    assert MultiIndex([2.0, 1]) == MultiIndex((2, 1))
+    mu = MultiIndex((1, 2))
+    assert MultiIndex(mu) is mu
+    with pytest.raises(ValueError, match="integers: 1.5$"):
+        c_value((1.5,), (1.5,), 0, 0)
+    with pytest.raises(ValueError, match="malformed multi-index text: '1.5'"):
+        parse_multiindex("1.5")
