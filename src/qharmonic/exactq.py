@@ -13,20 +13,32 @@ polynomial is the ``QRat`` it equals, with d = 1 and e >= 0, under a thin
 wrapper that keeps results polynomial.  The monic-denominator form
 ``num``/``den`` is built from that only for output.
 
+A factor known to be a product of cyclotomic polynomials Phi_k is carried as
+its exponent vector {k: m}: a denominator whole, a numerator as a generic part
+times a vector.  The q-constants produce vectors from their closed forms, [n]_q
+the product of Phi_d over the divisors d > 1 of n and [n choose k]_q that of
+Phi_d^(n//d - k//d - (n-k)//d), and coefficient lists are built from vectors
+only where needed: output, hashing, a sum's numerator, or a value without a
+vector.
+
 Values combine by Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2,
 4.5.1), reading n, d, p, r and e directly: a product n1 n2 / d1 d2 cancels
 only gcd(n1, d2) and gcd(n2, d1); a sum, with g = gcd(d1, d2), cancels only
 gcd(n1 (d2/g) + n2 (d1/g), g) after shifting the numerator of the operand
 with the larger exponent to the smaller one.  Inverses and powers take no
-gcd, so no gcd ever sees the double-degree result, and since n and d are
-q-free no gcd sees a factor q.  A unit, a scalar times q^e (n = d = 1),
-multiplies by changing p, r and e alone, with no polynomial product.
-``QRat(num, den)`` is num times the inverse of den, so this is the one
-reduction path.
+gcd, and since n and d are q-free no gcd sees a factor q.  A unit, a scalar
+times q^e (n = d = 1), multiplies by changing p, r and e alone, with no
+polynomial product.  ``QRat(num, den)`` is num times the inverse of den, so
+this is the one reduction path.
 
-The gcds are the heuristic integer gcd GCDHEU (Char, Geddes & Gonnet, 1989),
-which falls back to the primitive remainder sequence when the heuristic is
-unlucky.
+When both denominators carry vectors, every gcd is read off them: a product
+adds vectors, a sum takes g as the componentwise minimum and the common
+denominator as the maximum, and a generic part meets the other side's Phi_k
+by trial division, each tried first by its residue mod q^k - 1 (k strided
+sums) so that only a hit pays for a division.  Only values whose denominator
+has no vector, as outside input builds them, reach the heuristic integer gcd
+GCDHEU (Char, Geddes & Gonnet, 1989), which falls back to the primitive
+remainder sequence when the heuristic is unlucky.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -105,23 +118,26 @@ class QPoly:
 
     @classmethod
     def monomial(cls, c: Scalar, power: int) -> QPoly:
+        """c * q**power, a unit: no coefficient list is built."""
+        if not isinstance(power, int):
+            raise ValueError(f"monomial power must be an integer, got {power!r}")
         if power < 0:
             raise ValueError("monomial power must be non-negative")
-        return cls((0,) * power + (c,))
+        return _wrap(q_power(power) * c)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         if self._coeffs is None:
             x = self._x
             self._coeffs = ((Fraction(0),) * x._e
-                            + tuple(Fraction(c * x._p, x._r) for c in x._n))
+                            + tuple(Fraction(c * x._p, x._r) for c in x._ncoeffs()))
         return self._coeffs
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (never a number)."""
         x = self._x
-        return x._e + len(x._n) - 1 if x._p else None
+        return x._e + len(x._ncoeffs()) - 1 if x._p else None
 
     @property
     def is_zero(self) -> bool:
@@ -132,7 +148,7 @@ class QPoly:
         x = self._x
         if not x._p:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return Fraction(x._n[-1] * x._p, x._r)
+        return Fraction(x._n[-1] * x._p, x._r)  # each Phi_k is monic
 
     def __bool__(self) -> bool:
         return bool(self._x._p)
@@ -242,22 +258,26 @@ def _int_primitive(v: Iterable[int]) -> tuple[list[int], int]:
     return [c // g for c in v], g
 
 
-def _int_divide(a: list[int], b: list[int]) -> list[int] | None:
+def _int_divide(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     # Quotient a / b in Z[q] when b divides a exactly, else None.  For primitive b
-    # this decides divisibility in Q[q] too (Gauss's lemma).
+    # this decides divisibility in Q[q] too (Gauss's lemma).  Each quotient digit
+    # takes the place of the lead it removes; zero terms of b cost nothing, and a
+    # monic b, such as Phi_k, no divmod.
     r, db, lb = list(a), len(b) - 1, b[-1]
     if len(r) <= db:
         return None if r else []
-    quo = [0] * (len(r) - db)
+    terms = [(i, bc) for i, bc in enumerate(b[:db]) if bc]
     for shift in range(len(r) - 1 - db, -1, -1):
-        lead, rem = divmod(r[shift + db], lb)
-        if rem:
-            return None
+        lead = r[shift + db]
         if lead:
-            quo[shift] = lead
-            for i, bc in enumerate(b, shift):
-                r[i] -= lead * bc
-    return None if any(r[:db]) else quo
+            if lb != 1:
+                lead, rem = divmod(lead, lb)
+                if rem:
+                    return None
+                r[shift + db] = lead
+            for i, bc in terms:
+                r[shift + i] -= lead * bc
+    return None if any(r[:db]) else r[db:]
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -347,76 +367,238 @@ def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    g = _int_gcd(a._x._n, b._x._n)[0]
+    g = _int_gcd(a._x._ncoeffs(), b._x._ncoeffs())[0]
     return _wrap(_canonical(g, (1,), 1, g[-1], min(a._x._e, b._x._e)))
+
+
+# --- cyclotomic exponent vectors ------------------------------------------------
+#
+# A vector {k: m} with every m > 0 stands for the product of Phi_k^m; the empty
+# vector is 1.  Vectors are never mutated once built, so values share them.
+
+@functools.cache
+def _cyclotomic(k: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(Phi_k, {d: mu(k/d)}): Phi_k is the product of (q^d - 1)^mu(k/d) over the
+    divisors d of k with k/d squarefree."""
+    binomials, rest, p = {k: 1}, k, 2
+    while rest > 1:
+        if not rest % p:
+            binomials.update({d // p: -mu for d, mu in binomials.items()})
+            while not rest % p:
+                rest //= p
+        p += 1
+    return tuple(_binomial_product([1], binomials)), binomials
+
+
+def _binomial_product(a: list[int], exps: dict[int, int]) -> list[int]:
+    # a times the product of (q^d - 1)^m over exps, each factor in O(len a): the
+    # products first, so that every division is exact
+    for d, m in exps.items():
+        for _ in range(m):
+            a = [y - x for x, y in zip(a + [0] * d, [0] * d + a)]
+    for d, m in exps.items():
+        for _ in range(-m):
+            # a = (q^d - 1) b reads b[i] = b[i-d] - a[i]: minus running sums along
+            # each residue class mod d
+            b = [0] * (len(a) - d)
+            for j in range(d):
+                b[j::d] = [-c for c in accumulate(a[j:len(b):d])]
+            a = b
+    return a
+
+
+def _binomial_exponents(v: dict[int, int]) -> dict[int, int]:
+    # the vector v as exponents of the binomials q^d - 1
+    exps: dict[int, int] = {}
+    for k, m in v.items():
+        for d, mu in _cyclotomic(k)[1].items():
+            exps[d] = exps.get(d, 0) + mu * m
+    return exps
+
+
+def _phi_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    if not a or not b:
+        return a or b
+    out = dict(a)
+    for k, m in b.items():
+        out[k] = out.get(k, 0) + m
+    return out
+
+
+def _phi_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    # a - b for b <= a componentwise
+    if not b:
+        return a
+    out = dict(a)
+    for k, m in b.items():
+        if out[k] == m:
+            del out[k]
+        else:
+            out[k] -= m
+    return out
+
+
+def _phi_min(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    # the componentwise minimum: the vector of gcd(a, b)
+    if len(a) > len(b):
+        a, b = b, a
+    return {k: min(m, b[k]) for k, m in a.items() if k in b}
+
+
+def _phi_divides(t: Sequence[int], k: int, phi: Sequence[int]) -> bool:
+    # Whether Phi_k divides t: t mod q^k - 1 is the k strided sums of t, and Phi_k
+    # divides q^k - 1, so only that residue of length k is reduced mod Phi_k.
+    w = [sum(t[j::k]) for j in range(k)]
+    deg = len(phi) - 1
+    for top in range(k - 1, deg - 1, -1):
+        c = w[top]
+        if c:
+            for j in range(deg):
+                if phi[j]:
+                    w[top - deg + j] -= c * phi[j]
+    return not any(w[:deg])
+
+
+def _phi_cancel(t: Sequence[int], v: dict[int, int]) -> tuple[Sequence[int], dict[int, int]]:
+    # (t / h, v - vector(h)) for h the largest divisor of t among the products of
+    # Phi_k^j, j <= v[k]: gcd(t, product of v) by trial division
+    left = v
+    for k, m in v.items():
+        phi, j = _cyclotomic(k)[0], 0
+        while j < m and _phi_divides(t, k, phi):
+            t, j = _int_divide(t, phi), j + 1
+        if j:
+            left = dict(left) if left is v else left
+            if j == m:
+                del left[k]
+            else:
+                left[k] = m - j
+    return t, left
+
+
+def _cancel(n: Sequence[int], nv: dict[int, int], dv: dict[int, int]):
+    # n Phi^nv over Phi^dv with their common factors cancelled, as (n, nv, dv):
+    # the vectors by their minimum, then the generic n by trial division
+    if not dv:
+        return n, nv, dv
+    common = _phi_min(nv, dv) if nv else None
+    if common:
+        nv, dv = _phi_sub(nv, common), _phi_sub(dv, common)
+    if len(n) > 1 and dv:
+        n, dv = _phi_cancel(n, dv)
+    return n, nv, dv
+
+
+def _times_phi(n: Sequence[int], v: dict[int, int]) -> Sequence[int]:
+    # the coefficients of n times the product of v: factor by factor up to degree
+    # 64, where schoolbook products of the short Phi_k are cheaper, else through
+    # the binomial form at O(len) per binomial
+    if sum(m * (len(_cyclotomic(k)[0]) - 1) for k, m in v.items()) > 64:
+        return _binomial_product(list(n), _binomial_exponents(v))
+    for k, m in v.items():
+        n = _int_mul(n, _int_pow(_cyclotomic(k)[0], m))
+    return n
+
+
+def _value_at(u: Sequence[int], v: dict[int, int], p: int, s: int) -> tuple[int, int]:
+    # (acc, scale) with acc / scale the value of u times the product of v at p/s
+    acc, scale = _int_horner(u, p, s)
+    for k, m in v.items():
+        a, b = _int_horner(_cyclotomic(k)[0], p, s)
+        acc, scale = acc * a ** m, scale * b ** m
+    return acc, scale
+
+
+def _require_int(name: str, **values: object) -> None:
+    for arg, value in values.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} argument {arg} must be an integer, got {value!r}")
 
 
 @functools.cache
 def q_integer(n: int) -> QPoly:
-    """[n]_q = 1 + q + ... + q^(n-1); the empty sum for n = 0."""
+    """[n]_q = 1 + q + ... + q^(n-1), the product of Phi_d over the divisors
+    d > 1 of n; the empty sum for n = 0."""
+    _require_int("q_integer", n=n)
     if n < 0:
         raise ValueError("q_integer requires n >= 0")
-    return QPoly((1,) * n)
+    if not n:
+        return QPoly()
+    nv = {d: 1 for d in range(2, n + 1) if not n % d}
+    return _wrap(_canonical((1,), (1,), 1, 1, 0, nv, nc=(1,) * n))
 
 
-@functools.cache
 def q_factorial(n: int) -> QPoly:
-    """[n]_q! = [n]_q [n-1]_q ... [1]_q, with [0]_q! = 1."""
+    """[n]_q! = [n]_q [n-1]_q ... [1]_q, the product of Phi_d^(n//d); [0]_q! = 1."""
+    _require_int("q_factorial", n=n)
     if n < 0:
         raise ValueError("q_factorial requires n >= 0")
-    out = QPoly.one()
-    for i in range(2, n + 1):
-        out = out * q_integer(i)
-    return out
+    return _wrap(_canonical((1,), (1,), 1, 1, 0, {d: n // d for d in range(2, n + 1)}))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def q_binomial(n: int, k: int) -> QPoly:
-    """Gaussian binomial coefficient [n choose k]_q, by the q-Pascal recurrence over Z."""
+    """Gaussian binomial coefficient [n choose k]_q, the product of
+    Phi_d^(n//d - k//d - (n-k)//d)."""
+    _require_int("q_binomial", n=n, k=k)
     if n < 0:
         raise ValueError("q_binomial requires n >= 0")
     if k < 0 or k > n:
         raise ValueError(f"q_binomial index k={k} out of range for n={n}")
-    # row[j] holds the integer coefficients of [i choose j] for the current i.
-    row = [[1]] + [[] for _ in range(k)]
-    for i in range(1, n + 1):
-        for j in range(min(i, k), 0, -1):
-            # [i, j] = [i-1, j-1] + q^j [i-1, j], where [i-1, i] = 0
-            nxt = [0] * j + row[j] if row[j] else [0]
-            for d, c in enumerate(row[j - 1]):
-                nxt[d] += c
-            row[j] = nxt
-    return _wrap(_canonical(row[k], (1,), 1, 1, 0))
+    nv = {d: m for d in range(2, n + 1) if (m := n // d - k // d - (n - k) // d)}
+    return _wrap(_canonical((1,), (1,), 1, 1, 0, nv))
 
 
 class QRat:
     """Reduced element of Q(q), stored in Laurent form x = (p/r) * q^e * n/d.
 
-    n and d are coprime primitive integer coefficient tuples with positive
-    leading coefficients and nonzero constant terms, r > 0, gcd(p, r) = 1 and
-    e is an integer; zero is ((), (1,), 0, 1, 0).  That form is unique, so two
-    values are equal in Q(q) exactly when they are structurally equal.  A unit,
-    a scalar times q^e, has n = d = (1,).  The monic-denominator pair
-    ``num``/``den`` is built from it on each request, for output only: the
-    power q^e goes to ``num`` when e > 0 and to ``den`` when e < 0.
+    n and d are coprime primitive integer polynomials with positive leading
+    coefficients and nonzero constant terms, r > 0, gcd(p, r) = 1 and e is an
+    integer.  n is held as ``_n`` times the product of the cyclotomic vector
+    ``_nv``: the part not known to be cyclotomic, a tuple, and the part that
+    is.  d is held as its vector ``_dv`` and its coefficient tuple ``_d``, built
+    on first use; a denominator without a vector has ``_dv`` None.  Zero has
+    n = (), d = (1,) and p = e = 0, a unit (a scalar times q^e) n = d = (1,) and
+    empty vectors.  The form is unique up to how n splits, so equality and
+    hashing read the coefficients of n wherever the splits differ.  The
+    monic-denominator pair ``num``/``den`` is built on each request, for output
+    only: the power q^e goes to ``num`` when e > 0 and to ``den`` when e < 0.
     """
 
-    __slots__ = ("_n", "_d", "_p", "_r", "_e")
+    __slots__ = ("_n", "_nv", "_nc", "_d", "_dv", "_p", "_r", "_e")
 
     def __init__(self, num: QRat | QPoly | Scalar, den: QRat | QPoly | Scalar = 1) -> None:
         """num / den for any two elements of Q(q): Henrici's product of num with
         the inverse of den, the one reduction path."""
         x = _require_rat(num) / _require_rat(den)
-        self._n, self._d, self._p, self._r, self._e = x._n, x._d, x._p, x._r, x._e
+        self._n, self._nv, self._nc, self._d, self._dv = x._n, x._nv, x._nc, x._d, x._dv
+        self._p, self._r, self._e = x._p, x._r, x._e
+
+    def _ncoeffs(self) -> tuple[int, ...]:
+        # the coefficients of n, kept once built
+        if not self._nv:
+            return self._n
+        if self._nc is None:
+            self._nc = tuple(_times_phi(self._n, self._nv))
+        return self._nc
+
+    def _dcoeffs(self) -> tuple[int, ...]:
+        # the coefficients of d, kept once built
+        if self._d is None:
+            self._d = tuple(_times_phi((1,), self._dv))
+        return self._d
 
     @property
     def num(self) -> QPoly:
         # the numerator over the monic den: x = (p / (r d[-1])) q^e n / (d / d[-1])
-        return _wrap(_canonical(self._n, (1,), self._p, self._r * self._d[-1],
-                                max(self._e, 0)))
+        lead = 1 if self._dv is not None else self._d[-1]
+        return _wrap(_canonical(self._n, (1,), self._p, self._r * lead, max(self._e, 0), self._nv,
+                                nc=self._nc))
 
     @property
     def den(self) -> QPoly:
+        if self._dv is not None:
+            return _wrap(_canonical((1,), (1,), 1, 1, max(-self._e, 0), self._dv, nc=self._d))
         return _wrap(_canonical(self._d, (1,), 1, self._d[-1], max(-self._e, 0)))
 
     @property
@@ -430,17 +612,28 @@ class QRat:
         other = _coerce_rat(other)
         if other is None:
             return NotImplemented
-        return (self._p == other._p and self._r == other._r and self._e == other._e
-                and self._n == other._n and self._d == other._d)
+        if self._p != other._p or self._r != other._r or self._e != other._e:
+            return False
+        # two vectors are equal exactly when their products are
+        if self._dv is None or other._dv is None:
+            if self._dcoeffs() != other._dcoeffs():
+                return False
+        elif self._dv != other._dv:
+            return False
+        if self._nv == other._nv:
+            return self._n == other._n
+        return self._ncoeffs() == other._ncoeffs()
 
     def __hash__(self) -> int:
+        n, d = self._ncoeffs(), self._dcoeffs()
         # a constant equals its int or Fraction, so it hashes as that value
-        if len(self._n) <= 1 and len(self._d) == 1 and not self._e:
+        if len(n) <= 1 and len(d) == 1 and not self._e:
             return hash(Fraction(self._p, self._r))
-        return hash((self._n, self._d, self._p, self._r, self._e))
+        # 2e, because CPython hashes the ints -1 and -2 alike
+        return hash((n, d, self._p, self._r, 2 * self._e))
 
     def __neg__(self) -> QRat:
-        return _canonical(self._n, self._d, -self._p, self._r, self._e)
+        return _rescale(self, -self._p, self._r, self._e)
 
     def __add__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -448,37 +641,30 @@ class QRat:
             return NotImplemented
         if not self._p or not other._p:
             return self if self._p else other
-        n1, d1, p1, r1, e1 = self._n, self._d, self._p, self._r, self._e
-        n2, d2, p2, r2, e2 = other._n, other._d, other._p, other._r, other._e
-        # Henrici: with g = gcd(d1, d2) and c_i = d_i/g, the sum is q^min(e1, e2) t /
-        # (c1 c2 g) over r1 r2 for t = p1 r2 n1 c2 q^(e1-min) + p2 r1 n2 c1 q^(e2-min),
-        # and only gcd(t, g) can cancel.
+        r = self._r * other._r
+        dv1, dv2 = self._dv, other._dv
+        if dv1 is not None and dv2 is not None:
+            # g = gcd(d1, d2) is the minimum of the vectors and the common
+            # denominator their maximum; only the Phi_k of g can divide t.
+            if dv1 == dv2:
+                g, c1, c2 = dv1, {}, {}
+            else:
+                g = _phi_min(dv1, dv2)
+                c1, c2 = _phi_sub(dv1, g), _phi_sub(dv2, g)
+            t, t_cont, e = _sum_numerator(self, other, _part(self, c1), _part(other, c2))
+            if len(t) > 1 and g:
+                t, g = _phi_cancel(t, g)
+            return _canonical(t, None, t_cont, r, e, None, _phi_add(_phi_add(c1, c2), g))
+        d1, d2 = self._dcoeffs(), other._dcoeffs()
         g, c1, c2 = (1,), d1, d2
         if d1 == d2:
             g, c1, c2 = d1, (1,), (1,)
         elif len(d1) > 1 and len(d2) > 1:
             g, c1, c2 = _int_gcd(d1, d2)
-        a = _int_mul(n1, [p1 * r2 * c for c in c2])
-        b = _int_mul(n2, [p2 * r1 * c for c in c1])
-        # shift the operand with the larger exponent down to e = min(e1, e2)
-        if e1 > e2:
-            a = [0] * (e1 - e2) + a
-        elif e2 > e1:
-            b = [0] * (e2 - e1) + b
-        if len(a) < len(b):
-            a, b = b, a
-        t = [x + y for x, y in zip(a, b)] + a[len(b):]
-        while t and not t[-1]:
-            t.pop()
-        t, t_cont = _int_primitive(t)
-        e = min(e1, e2)
-        if t_cont and not t[0]:
-            # an equal-exponent sum cancelled in its low terms: q^k leaves t first
-            k = _low_zeros(t)
-            t, e = t[k:], e + k
+        t, t_cont, e = _sum_numerator(self, other, c1, c2)
         if len(t) > 1 and len(g) > 1:
             _, t, g = _int_gcd(t, g)
-        return _canonical(t, _int_mul(_int_mul(c1, c2), g), t_cont, r1 * r2, e)
+        return _canonical(t, _int_mul(_int_mul(c1, c2), g), t_cont, r, e)
 
     __radd__ = __add__
 
@@ -500,15 +686,20 @@ class QRat:
             return NotImplemented
         if not self._p or not other._p:
             return QRAT_ZERO
-        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
         p, r, e = self._p * other._p, self._r * other._r, self._e + other._e
         # A unit (n = d = 1) changes only the scalar and the power of q.
-        if len(n1) == 1 and len(d1) == 1:
-            return _canonical(n2, d2, p, r, e)
-        if len(n2) == 1 and len(d2) == 1:
-            return _canonical(n1, d1, p, r, e)
+        if self._d == (1,) and self._n == (1,) and not self._nv:
+            return _rescale(other, p, r, e)
+        if other._d == (1,) and other._n == (1,) and not other._nv:
+            return _rescale(self, p, r, e)
         # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
         # can cancel from the product, and each involves one operand's degree only.
+        if self._dv is not None and other._dv is not None:
+            n1, nv1, dv2 = _cancel(self._n, self._nv, other._dv)
+            n2, nv2, dv1 = _cancel(other._n, other._nv, self._dv)
+            n = n1 if len(n2) == 1 else n2 if len(n1) == 1 else _int_mul(n1, n2)
+            return _canonical(n, None, p, r, e, _phi_add(nv1, nv2), _phi_add(dv1, dv2))
+        n1, d1, n2, d2 = self._ncoeffs(), self._dcoeffs(), other._ncoeffs(), other._dcoeffs()
         # A constant operand leaves nothing to cancel, so it takes no gcd call.
         if len(n1) > 1 and len(d2) > 1:
             _, n1, d2 = _int_gcd(n1, d2)
@@ -524,7 +715,7 @@ class QRat:
             return NotImplemented
         if not other._p:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return self * _canonical(other._d, other._n, other._r, other._p, -other._e)
+        return self * _inverse(other)
 
     def __rtruediv__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -536,21 +727,26 @@ class QRat:
         if n < 0:
             if not self._p:
                 raise ZeroDivisionError("zero has no negative powers")
-            return _canonical(self._d, self._n, self._r, self._p, -self._e) ** -n
-        if not self._p:
+            return _inverse(self) ** -n
+        if not n or not self._p:
             return self if n else QRAT_ONE
-        # powers of coprime primitive n and d stay coprime and primitive
-        return _canonical(_int_pow(self._n, n), _int_pow(self._d, n), self._p ** n,
-                          self._r ** n, self._e * n)
+        # powers of coprime primitive n and d stay coprime and primitive; a
+        # vector scales by n
+        nv, dv = self._nv, self._dv
+        return _canonical(_int_pow(self._n, n), _int_pow(self._d, n) if dv is None else None,
+                          self._p ** n, self._r ** n, self._e * n,
+                          {k: m * n for k, m in nv.items()},
+                          None if dv is None else {k: m * n for k, m in dv.items()})
 
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact rational value at q = q0; PoleError at denominator roots."""
         p, s = Fraction(q0).as_integer_ratio()
-        d, d_scale = _int_horner(self._d, p, s)
+        dv = self._dv
+        d, d_scale = _int_horner(self._d, p, s) if dv is None else _value_at((1,), dv, p, s)
         e = self._e
         if not d or (e < 0 and not p):
             raise PoleError(f"denominator vanishes at q = {q0}")
-        n, n_scale = _int_horner(self._n, p, s)
+        n, n_scale = _value_at(self._n, self._nv, p, s)
         # q0^e = p^e / s^e moves to the other side when e < 0
         up, down = (p ** e, s ** e) if e >= 0 else (s ** -e, p ** -e)
         return Fraction(self._p * n * d_scale * up, self._r * n_scale * d * down)
@@ -562,27 +758,88 @@ class QRat:
         return f"QRat({self.num!r}, {self.den!r})"
 
 
+def _inverse(x: QRat) -> QRat:
+    # 1/x for nonzero x: n and d trade places; a numerator with a generic part
+    # becomes a denominator without a vector
+    n, nv = ((1,), x._dv) if x._dv is not None else (x._d, {})
+    d, dv = (x._nc, x._nv) if len(x._n) == 1 else (x._ncoeffs(), None)
+    return _canonical(n, d, x._r, x._p, -x._e, nv, dv, nc=x._d)
+
+
+def _rescale(x: QRat, p: int, r: int, e: int) -> QRat:
+    # x with its scalar and power of q replaced by (p/r) q^e, r > 0: the product
+    # by a unit, and negation
+    out = object.__new__(QRat)
+    g = math.gcd(p, r)
+    out._n, out._nv, out._nc, out._d, out._dv = x._n, x._nv, x._nc, x._d, x._dv
+    out._p, out._r, out._e = p // g, r // g, e
+    return out
+
+
+def _part(x: QRat, c: dict[int, int]) -> Sequence[int]:
+    # the coefficients of c, a part of x's denominator vector, read from x when whole
+    if not c:
+        return (1,)
+    return x._dcoeffs() if c is x._dv else _times_phi((1,), c)
+
+
+def _sum_numerator(x: QRat, y: QRat, c1: Sequence[int], c2: Sequence[int]):
+    # Henrici's sum over the common denominator c1 c2 g, with c_i = d_i / g: the
+    # primitive t and its content for p1 r2 n1 c2 q^(e1-e) + p2 r1 n2 c1 q^(e2-e)
+    # at e = min(e1, e2), and e.  Only an equal-exponent sum can cancel in its low
+    # terms; their q^k leaves t into e.
+    a = _int_mul(x._ncoeffs(), [x._p * y._r * c for c in c2])
+    b = _int_mul(y._ncoeffs(), [y._p * x._r * c for c in c1])
+    e1, e2 = x._e, y._e
+    if e1 > e2:
+        a = [0] * (e1 - e2) + a
+    elif e2 > e1:
+        b = [0] * (e2 - e1) + b
+    if len(a) < len(b):
+        a, b = b, a
+    t = [u + v for u, v in zip(a, b)] + a[len(b):]
+    while t and not t[-1]:
+        t.pop()
+    t, t_cont = _int_primitive(t)
+    e = min(e1, e2)
+    if t_cont and not t[0]:
+        k = _low_zeros(t)
+        t, e = t[k:], e + k
+    return t, t_cont, e
+
+
 def _low_zeros(v: Sequence[int]) -> int:
     # the number of zero coefficients below the first nonzero one of v
     return next(i for i, c in enumerate(v) if c)
 
 
-def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int, e: int) -> QRat:
-    # (p/r) * q^e * n/d for coprime primitive n, d with positive leads and r != 0:
-    # the low zeros of n and d move into e, then only the sign and the gcd of the
-    # scalar are left to fix.
+def _canonical(n: Sequence[int], d: Sequence[int] | None, p: int, r: int, e: int,
+               nv: dict[int, int] | None = None, dv: dict[int, int] | None = None,
+               nc: tuple[int, ...] | None = None) -> QRat:
+    # (p/r) * q^e * n Phi^nv / d for coprime primitive numerator and d with positive
+    # leads and r != 0, d given by its coefficients, its vector dv, or both, and nc
+    # the coefficients of n Phi^nv where known: the low zeros of n and of a dense d
+    # move into e, a denominator 1 gets both forms, and then only the sign and the
+    # gcd of the scalar are left to fix.
     out = object.__new__(QRat)
     if not p:
-        out._n, out._d, out._p, out._r, out._e = (), (1,), 0, 1, 0
+        out._n, out._nv, out._nc, out._d, out._dv = (), {}, None, (1,), {}
+        out._p, out._r, out._e = 0, 1, 0
         return out
     if not n[0]:
         k = _low_zeros(n)
         n, e = n[k:], e + k
-    if not d[0]:
-        k = _low_zeros(d)
-        d, e = d[k:], e - k
+    if d is None:
+        d = None if dv else (1,)
+    else:
+        if not d[0]:
+            k = _low_zeros(d)
+            d, e = d[k:], e - k
+        d = tuple(d)
+        dv = {} if len(d) == 1 else dv
     g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
-    out._n, out._d, out._p, out._r, out._e = tuple(n), tuple(d), p // g, r // g, e
+    out._n, out._nv, out._nc, out._d, out._dv = tuple(n), {} if nv is None else nv, nc, d, dv
+    out._p, out._r, out._e = p // g, r // g, e
     return out
 
 

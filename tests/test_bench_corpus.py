@@ -1,16 +1,22 @@
-"""The benchmark's kernel corpus must find the calls it samples."""
+"""The benchmark's kernel corpus must find the calls it samples, and its campaign
+workloads must stay on the factored path."""
 
 from __future__ import annotations
 
+import sys
 import types
 from pathlib import Path
 
-from qharmonic import exactq, harmonic
+import pytest
 
-CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+from qharmonic import exactq, harmonic, verify
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+CORPUS = BENCH / "corpus.py"
+WORKLOADS = BENCH / "workloads.py"
 
 # every process-global memo table: the benchmark builds its corpus in a cold process
-MEMO_TABLES = (exactq.q_integer, exactq.q_factorial, exactq.q_binomial, exactq.q_power,
+MEMO_TABLES = (exactq.q_integer, exactq._cyclotomic, exactq.q_binomial, exactq.q_power,
                harmonic._c_suffix, harmonic._c_value)
 
 
@@ -33,3 +39,32 @@ def test_corpus_records_rational_normalizations():
     assert corpus["recorded"] > 0
     assert corpus["normalize"]
     assert all(len(den) > 1 for _, den in corpus["normalize"])
+
+
+def _load_workloads(monkeypatch) -> types.ModuleType:
+    # Executed from its source text; the configs need nothing from its oracle.
+    monkeypatch.setitem(sys.modules, "oracle", types.ModuleType("oracle"))
+    module = types.ModuleType("bench_workloads")
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), vars(module))
+    return module
+
+
+@pytest.mark.parametrize("name", ["grid-w5", "series-ops", "pairs-par2"])
+def test_campaign_workload_calls_no_gcd(monkeypatch, name):
+    # Every denominator a campaign builds is a product of Phi_k that the
+    # q-constants name, so its sums and products read their gcds off the
+    # cyclotomic vectors and never run GCDHEU.  The tables start cold, as in the
+    # benchmark's fresh process, so no value comes from an earlier test.
+    config = verify.parse_config_text(_load_workloads(monkeypatch).config_text(name, 1))
+    for table in MEMO_TABLES:
+        table.cache_clear()
+    calls, gcd = [], exactq._int_gcd
+
+    def counting(u, v):
+        calls.append(None)
+        return gcd(u, v)
+
+    monkeypatch.setattr(exactq, "_int_gcd", counting)
+    report = verify.run_campaign(config)
+    assert report.records and report.all_passed
+    assert len(calls) == 0

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -405,27 +409,46 @@ def _random_fracs(rng, max_len=7):
                       for _ in range(rng.randint(0, max_len)))
 
 
+def _ref_phi(v):
+    # the product of Phi_k^m over a cyclotomic vector {k: m}, by schoolbook products
+    # over Z of the table's Phi_k, which test_cyclotomic_table checks on its own
+    return tuple(reduce(_int_mul, (exactq._cyclotomic(k)[0] for k, m in v.items()
+                                   for _ in range(m)), (1,)))
+
+
+def _assert_vector(v):
+    assert isinstance(v, dict) and all(isinstance(k, int) and k >= 1 and isinstance(m, int)
+                                       and m > 0 for k, m in v.items()), v
+
+
 def _assert_stored_form(x: QRat):
-    # (p/r) * q^e * n/d: n, d coprime primitive tuples with positive leads and
-    # nonzero constant terms, r > 0, gcd(p, r) = 1 and e an int; zero is
-    # ((), (1,), 0, 1, 0)
-    n, d, p, s, e = x._n, x._d, x._p, x._r, x._e
-    assert isinstance(n, tuple) and isinstance(d, tuple) and isinstance(e, int)
-    assert s > 0 and math.gcd(p, s) == 1
+    # (p/r) * q^e * n/d: n = _n times the product of the vector _nv, d the product
+    # of the vector _dv where it is not None and the tuple _d; n, d coprime
+    # primitive with positive leads and nonzero constant terms, r > 0,
+    # gcd(p, r) = 1 and e an int; zero is ((), {}, (1,), {}, 0, 1, 0)
+    n, d, p, s, e = x._ncoeffs(), x._dcoeffs(), x._p, x._r, x._e
+    assert isinstance(x._n, tuple) and isinstance(n, tuple) and isinstance(d, tuple)
+    assert isinstance(e, int) and s > 0 and math.gcd(p, s) == 1
+    _assert_vector(x._nv)
     if not p:
-        assert (n, d, s, e) == ((), (1,), 1, 0)
-    else:
-        for v in (n, d):
-            assert v[-1] > 0 and v[0] != 0 and math.gcd(*v) == 1
-        assert exactq._int_gcd(n, d)[0] == [1]
+        assert (x._n, x._nv, d, x._dv, s, e) == ((), {}, (1,), {}, 1, 0)
+        return
+    assert n == tuple(_int_mul(x._n, _ref_phi(x._nv)))
+    assert x._nc is None or x._nc == n
+    if x._dv is not None:
+        _assert_vector(x._dv)
+        assert d == _ref_phi(x._dv)
+    for v in (x._n, n, d):
+        assert v[-1] > 0 and v[0] != 0 and math.gcd(*v) == 1
+    assert exactq._int_gcd(n, d)[0] == [1]
 
 
 def _assert_canonical(p: QPoly):
     # a polynomial is the canonical QRat it equals, with d == (1,) and e >= 0
     x = p._x
-    assert isinstance(x, QRat) and x._d == (1,) and x._e >= 0
+    assert isinstance(x, QRat) and x._dcoeffs() == (1,) and x._e >= 0
     _assert_stored_form(x)
-    assert p.coeffs == (0,) * x._e + tuple(Fraction(c * x._p, x._r) for c in x._n)
+    assert p.coeffs == (0,) * x._e + tuple(Fraction(c * x._p, x._r) for c in x._ncoeffs())
 
 
 def test_qpoly_ops_against_fraction_reference():
@@ -773,14 +796,30 @@ def test_unit_products_do_no_polynomial_work(monkeypatch):
 
 
 def test_exponent_enters_equality_and_hash():
-    # q-shifts of one value are distinct values with distinct hashes; -2 is left
-    # out because CPython hashes the ints -1 and -2 alike
-    for x in (QRat(1), QRat(Fraction(-3, 4)), QRat(QPoly((1, 1)), QPoly((2, 1)))):
-        shifts = [q_power(e) * x for e in (-3, -1, 0, 1, 2, 5)]
+    # q-shifts of one value are distinct values with distinct hashes
+    for x in (QRat(1), QRat(Fraction(-3, 4)), QRat(QPoly((1, 1)), QPoly((2, 1))),
+              QRat(q_binomial(5, 2), q_integer(6))):
+        shifts = [q_power(e) * x for e in (-3, -2, -1, 0, 1, 2, 5)]
         assert len({hash(s) for s in shifts}) == len(shifts), x
         for i, s in enumerate(shifts):
             for j, t in enumerate(shifts):
                 assert (s == t) == (i == j), (x, i, j)
+    # a value carried in cyclotomic form equals, and hashes as, the same value
+    # built from dense coefficient lists
+    pairs = [
+        (QRat(1, q_integer(6)), QRat(1, QPoly((1,) * 6))),
+        (q_integer(6), QPoly((1,) * 6)),
+        (q_binomial(4, 2), QPoly((1, 1, 2, 1, 1))),
+        (q_factorial(3), QRat(QPoly((1, 2, 2, 1)))),
+        (q_power(-2) * q_integer(4) / q_binomial(4, 2),
+         QRat(QPoly((1, 1, 1, 1)), QPoly((0, 0, 1, 1, 2, 1, 1)))),
+        (QRat(q_binomial(6, 3), q_integer(2) * q_integer(3)),
+         QRat(QPoly((1, 1, 2, 3, 3, 3, 3, 2, 1, 1)), QPoly((1, 2, 2, 1)))),
+    ]
+    for factored, dense in pairs:
+        assert factored == dense and dense == factored, (factored, dense)
+        assert hash(factored) == hash(dense) and dense in {factored}, (factored, dense)
+        assert factored != dense + 1 and factored != q_power(1) * dense
 
 
 def test_evaluate_at_zero():
@@ -795,8 +834,226 @@ def test_evaluate_at_zero():
     assert QPoly((0, 0, 4)).evaluate(0) == 0 and QRat(0).evaluate(0) == 0
 
 
+def test_q_constants_reject_non_integer_arguments():
+    for bad in (1.5, 2.0, Fraction(1, 2), "2"):
+        for call, name in ((lambda: q_integer(bad), "n"), (lambda: q_factorial(bad), "n"),
+                           (lambda: q_binomial(3, bad), "k"), (lambda: q_binomial(bad, 1), "n")):
+            with pytest.raises(ValueError, match=f"argument {name} .*{re.escape(repr(bad))}"):
+                call()
+    # after the integral call, the float key must still miss the memo table
+    assert q_binomial(3, 1) == q_integer(3)
+    with pytest.raises(ValueError, match=re.escape("1.0")):
+        q_binomial(3, 1.0)
+    with pytest.raises(ValueError, match="q_integer requires n >= 0"):
+        q_integer(-1)
+
+
+def test_monomial_is_a_unit_and_rejects_bad_powers(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exactq, "_int_primitive", lambda v: calls.append(v))
+    m = QPoly.monomial(Fraction(-3, 2), 5)
+    assert calls == [] and m._x._n == (1,) and m._x._e == 5
+    monkeypatch.undo()
+    assert m == QPoly((0, 0, 0, 0, 0, Fraction(-3, 2))) and m.degree == 5
+    assert QPoly.monomial(0, 3).is_zero and QPoly.monomial(7, 0) == 7
+    for bad in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            QPoly.monomial(1, bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        QPoly.monomial(1, -1)
+
+
 def test_q_power_rejects_non_integer_exponent():
     for e in (1.5, 2.0, Fraction(1, 2), "2"):
         with pytest.raises(ValueError, match=re.escape(repr(e))):
             q_power(e)
     assert q_power(3) == QPoly.monomial(1, 3) and q_power(-2) * q_power(2) == 1
+
+
+# --- cyclotomic factored form -------------------------------------------------
+
+
+def test_cyclotomic_table():
+    # the product of Phi_d over the divisors d of k is q^k - 1, which fixes each
+    # Phi_k in turn, and its binomial form multiplies back to it
+    for k in range(1, 61):
+        divisors = [d for d in range(1, k + 1) if not k % d]
+        product = reduce(_ref_mul, (exactq._cyclotomic(d)[0] for d in divisors), (Fraction(1),))
+        assert product == _ref_strip((-1,) + (0,) * (k - 1) + (1,)), k
+        phi, binomials = exactq._cyclotomic(k)
+        up, down = ((reduce(_ref_mul, ((-1,) + (0,) * (d - 1) + (1,)
+                                       for d, mu in binomials.items() if mu == sign), (1,)))
+                    for sign in (1, -1))
+        assert _ref_mul(phi, down) == _ref_strip(up), k
+    # coefficient lists of vectors, short ones factor by factor and long ones
+    # through the binomial form, against schoolbook products
+    rng = random.Random(53)
+    for _ in range(40):
+        v = {k: rng.randint(1, 3) for k in rng.sample(range(1, 40), rng.randint(1, 8))}
+        n = _prim([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [1])
+        assert list(exactq._times_phi(n, v)) == _int_mul(n, _ref_phi(v)), v
+
+
+def test_cyclotomic_table_is_built_lazily():
+    code = ("import qharmonic.cli\nfrom qharmonic import exactq\n"
+            "print(exactq._cyclotomic.cache_info().currsize)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_q_constants_carry_their_closed_forms():
+    # [n]_q is Phi_d over the divisors d > 1 of n, [n choose k]_q is
+    # Phi_d^(n//d - k//d - (n-k)//d), and their coefficients are the q-Pascal ones
+    pascal = [[(Fraction(1),)]]
+    for n in range(1, 15):
+        prev = pascal[-1] + [()]
+        pascal.append([_ref_add(prev[k - 1] if k else (), (0,) * k + prev[k])
+                       for k in range(n + 1)])
+    for n in range(15):
+        if n:
+            assert q_integer(n)._x._nv == {d: 1 for d in range(2, n + 1) if not n % d}
+            assert q_integer(n).coeffs == (1,) * n
+        for k in range(n + 1):
+            b = q_binomial(n, k)
+            assert b._x._n == (1,) and b._x._nv == {
+                d: n // d - k // d - (n - k) // d for d in range(2, n + 1)
+                if n // d - k // d - (n - k) // d}
+            assert b.coeffs == pascal[n][k], (n, k)
+        f = q_factorial(n)
+        assert f._x._nv == {d: n // d for d in range(2, n + 1)}
+        assert f == reduce(lambda acc, i: acc * QPoly((1,) * i), range(1, n + 1), QPoly.one())
+
+
+def _phi_value(nv, dv):
+    # Phi^nv / Phi^dv for disjoint supports, built directly in factored form: the
+    # q-constants never put Phi_1 into a vector, so this is how Phi_1 enters one
+    return exactq._canonical((1,), None, 1, 1, 0, nv, dv)
+
+
+def _factored_corpus(seed, count):
+    # (value, reference numerator, reference denominator) of three kinds:
+    # factored (every denominator a vector), generic (dense denominators) and
+    # mixed (a generic numerator over a vector), with factors of q and scalars
+    rng = random.Random(seed)
+    ks = (1, 2, 3, 4, 5, 6, 8, 12)
+
+    def vectors():
+        nv, dv = {}, {}
+        for k in rng.sample(ks, rng.randint(0, 4)):
+            (nv if rng.random() < 0.4 else dv)[k] = rng.randint(1, 2)
+        return nv, dv
+
+    def scalar():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    def generic(nonzero):
+        while True:
+            cs = [0] * rng.randint(0, 2) + [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]
+            if not nonzero or any(cs):
+                return _ref_strip(cs)
+
+    out = []
+    for _ in range(count):
+        nv, dv = vectors()
+        s, e = scalar(), rng.randint(-3, 3)
+        unit = QRat(s) * q_power(e)
+        rn, rd = _ref_mul((s,), _ref_phi(nv)), _ref_phi(dv)
+        rn, rd = (_ref_mul(rn, (0,) * e + (1,)), rd) if e >= 0 else (rn, _ref_mul(rd, (0,) * -e + (1,)))
+        kind = rng.choice(("factored", "factored", "generic", "mixed"))
+        if kind == "factored":
+            out.append((unit * _phi_value(nv, dv), rn, rd))
+        elif kind == "mixed":
+            g = generic(True)
+            out.append((QPoly(g) * unit * _phi_value(nv, dv), _ref_mul(rn, g), rd))
+        else:
+            a, b = generic(False), generic(True)
+            out.append((QRat(QPoly(a), QPoly(b)), a, b))
+    out += [(QRat(0), (), (Fraction(1),)), (QRat(q_binomial(6, 2)), q_binomial(6, 2).coeffs, (1,)),
+            (QRat(1, q_integer(6)), (Fraction(1),), (1,) * 6)]
+    return out
+
+
+def _dense_twin(x):
+    # the same value built from its coefficient lists: no vectors, so every
+    # operation on it takes the Henrici route with GCDHEU
+    return QRat(QPoly(x.num.coeffs), QPoly(x.den.coeffs))
+
+
+def _outcome(x, q0):
+    try:
+        return x.evaluate(q0)
+    except PoleError as err:
+        return str(err)
+
+
+def test_factored_ops_against_henrici_route_and_fraction_reference(monkeypatch):
+    points = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5, 2))
+    corpus = _factored_corpus(51, 60)
+    rng = random.Random(52)
+    gcd_calls, gcd = [], exactq._int_gcd
+
+    def counting_gcd(u, v):
+        gcd_calls.append(None)
+        return gcd(u, v)
+
+    for _ in range(200):
+        (x, xn, xd), (y, yn, yd) = rng.choice(corpus), rng.choice(corpus)
+        if rng.random() < 0.2:
+            # y = z - x: the sum cancels down to z, or to zero for z = x
+            z, zn, zd = rng.choice(corpus + [(x, xn, xd)])
+            y = z - x
+            yn = _ref_add(_ref_mul(zn, xd), _ref_mul(xn, tuple(-c for c in zd)))
+            yd = _ref_mul(zd, xd)
+        k = rng.randint(-2, 3)
+        cases = [("+", x + y, _ref_add(_ref_mul(xn, yd), _ref_mul(yn, xd)), _ref_mul(xd, yd)),
+                 ("-", x - y, _ref_add(_ref_mul(xn, yd), _ref_mul(yn, tuple(-c for c in xd))),
+                  _ref_mul(xd, yd)),
+                 ("*", x * y, _ref_mul(xn, yn), _ref_mul(xd, yd))]
+        if y:
+            cases.append(("/", x / y, _ref_mul(xn, yd), _ref_mul(xd, yn)))
+        if x or k >= 0:
+            num, den = (xn, xd) if k >= 0 else (xd, xn)
+            cases.append((f"**{k}", x ** k, reduce(_ref_mul, [num] * abs(k), (Fraction(1),)),
+                          reduce(_ref_mul, [den] * abs(k), (Fraction(1),))))
+        twins = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+                 "/": lambda a, b: a / b}
+        dx, dy = _dense_twin(x), _dense_twin(y)
+        for op, got, rn, rd in cases:
+            _assert_canonical_rat(got)
+            # got = rn / rd exactly, by cross-multiplication over Fraction
+            assert _ref_mul(got.num.coeffs, rd) == _ref_mul(rn, got.den.coeffs), (op, x, y)
+            want = twins[op](dx, dy) if op in twins else dx ** k
+            assert got == want and hash(got) == hash(want), (op, x, y)
+            assert (got.num, got.den, str(got), repr(got)) == (want.num, want.den, str(want),
+                                                                repr(want)), (op, x, y)
+            for q0 in points:
+                # the same value or the same PoleError message as the dense route
+                assert _outcome(got, q0) == _outcome(want, q0), (op, x, y, q0)
+                if _fraction_horner(rd, q0):
+                    assert got.evaluate(q0) == _ref_value(rn, rd, q0), (op, x, y, q0)
+        # operands that both carry denominator vectors never reach the gcd
+        if x._dv is not None and y._dv is not None:
+            monkeypatch.setattr(exactq, "_int_gcd", counting_gcd)
+            gcd_calls.clear()
+            x + y, x - y, x * y, x ** k if x or k >= 0 else None
+            if y._n == (1,):
+                x / y
+            monkeypatch.undo()
+            assert gcd_calls == [], (x, y)
+
+
+def test_factored_poles_at_one_and_minus_one():
+    for x, pole in ((_phi_value({}, {1: 1}), 1), (_phi_value({3: 1}, {1: 2, 4: 1}), 1),
+                    (QRat(1, q_integer(2)), -1), (QRat(q_integer(3), q_binomial(4, 1)), -1),
+                    (_phi_value({}, {2: 1, 1: 1}), 1), (_phi_value({}, {2: 1, 1: 1}), -1)):
+        for value in (x, _dense_twin(x)):
+            with pytest.raises(PoleError, match=rf"^denominator vanishes at q = {pole}$"):
+                value.evaluate(pole)
+            with pytest.raises(PoleError, match=rf"^denominator vanishes at q = {pole}$"):
+                value.evaluate(Fraction(pole))
+    # a Phi_1 or Phi_2 in the numerator is a zero there, not a pole
+    assert _phi_value({1: 1, 2: 1}, {3: 1}).evaluate(1) == 0 == q_integer(2).evaluate(-1)
+    assert QRat(q_integer(2) * q_integer(4), q_integer(8)).evaluate(-1) == 0
+    assert QRat(q_integer(4), q_integer(2)).evaluate(-1) == 2

@@ -7,7 +7,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qharmonic"
 
-# q_integer, q_factorial, q_binomial, q_power, _c_suffix and _c_value.
+# q_integer, _cyclotomic, q_binomial, q_power, _c_suffix and _c_value.
 MAX_GLOBAL_TABLES = 6
 
 _CACHES = ("cache", "lru_cache")
