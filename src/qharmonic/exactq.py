@@ -123,6 +123,7 @@ class QPoly:
             raise ValueError(f"monomial power must be an integer, got {power!r}")
         if power < 0:
             raise ValueError("monomial power must be non-negative")
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         return _wrap(q_power(power) * c)
 
     @property
@@ -490,14 +491,9 @@ def _cancel(n: Sequence[int], nv: dict[int, int], dv: dict[int, int]):
 
 
 def _times_phi(n: Sequence[int], v: dict[int, int]) -> Sequence[int]:
-    # the coefficients of n times the product of v: factor by factor up to degree
-    # 64, where schoolbook products of the short Phi_k are cheaper, else through
-    # the binomial form at O(len) per binomial
-    if sum(m * (len(_cyclotomic(k)[0]) - 1) for k, m in v.items()) > 64:
-        return _binomial_product(list(n), _binomial_exponents(v))
-    for k, m in v.items():
-        n = _int_mul(n, _int_pow(_cyclotomic(k)[0], m))
-    return n
+    # the coefficients of n times the product of v, through the binomial form at
+    # O(len) per binomial
+    return _binomial_product(list(n), _binomial_exponents(v))
 
 
 def _value_at(u: Sequence[int], v: dict[int, int], p: int, s: int) -> tuple[int, int]:

@@ -856,6 +856,11 @@ def test_monomial_is_a_unit_and_rejects_bad_powers(monkeypatch):
     monkeypatch.undo()
     assert m == QPoly((0, 0, 0, 0, 0, Fraction(-3, 2))) and m.degree == 5
     assert QPoly.monomial(0, 3).is_zero and QPoly.monomial(7, 0) == 7
+    assert QPoly.monomial(0.5, 2) == QPoly((0, 0, Fraction(1, 2)))
+    assert QPoly.monomial(Fraction(2, 3), 1).coeffs == (0, Fraction(2, 3))
+    for c in (QRat(1, q_integer(2)), QPoly.one()):
+        with pytest.raises(TypeError):
+            QPoly.monomial(c, 1)
     for bad in (1.5, 2.0, "2"):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             QPoly.monomial(1, bad)
@@ -885,8 +890,9 @@ def test_cyclotomic_table():
                                        for d, mu in binomials.items() if mu == sign), (1,)))
                     for sign in (1, -1))
         assert _ref_mul(phi, down) == _ref_strip(up), k
-    # coefficient lists of vectors, short ones factor by factor and long ones
-    # through the binomial form, against schoolbook products
+    # coefficient lists of vectors, short and long, through the binomial form
+    # against schoolbook products
+    assert exactq._times_phi((2, 1), {}) == [2, 1]
     rng = random.Random(53)
     for _ in range(40):
         v = {k: rng.randint(1, 3) for k in rng.sample(range(1, 40), rng.randint(1, 8))}
