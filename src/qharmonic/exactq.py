@@ -14,12 +14,12 @@ wrapper that keeps results polynomial.  The monic-denominator form
 ``num``/``den`` is built from that only for output.
 
 A factor known to be a product of cyclotomic polynomials Phi_k is carried as
-its exponent vector {k: m}: a denominator whole, a numerator as a generic part
-times a vector.  The q-constants produce vectors from their closed forms, [n]_q
-the product of Phi_d over the divisors d > 1 of n and [n choose k]_q that of
-Phi_d^(n//d - k//d - (n-k)//d), and coefficient lists are built from vectors
-only where needed: output, hashing, a sum's numerator, or a value without a
-vector.
+its exponent vector {k: m}, and numerator and denominator are stored alike: a
+generic part times a vector.  The q-constants produce vectors from their
+closed forms, [n]_q the product of Phi_d over the divisors d > 1 of n and
+[n choose k]_q that of Phi_d^(n//d - k//d - (n-k)//d), and coefficient lists
+are built from vectors only where needed: output, hashing and a sum's
+numerator.
 
 Values combine by Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2,
 4.5.1), reading n, d, p, r and e directly: a product n1 n2 / d1 d2 cancels
@@ -31,14 +31,13 @@ times q^e (n = d = 1), multiplies by changing p, r and e alone, with no
 polynomial product.  ``QRat(num, den)`` is num times the inverse of den, so
 this is the one reduction path.
 
-When both denominators carry vectors, every gcd is read off them: a product
-adds vectors, a sum takes g as the componentwise minimum and the common
-denominator as the maximum, and a generic part meets the other side's Phi_k
-by trial division, each tried first by its residue mod q^k - 1 (k strided
-sums) so that only a hit pays for a division.  Only values whose denominator
-has no vector, as outside input builds them, reach the heuristic integer gcd
-GCDHEU (Char, Geddes & Gonnet, 1989), which falls back to the primitive
-remainder sequence when the heuristic is unlucky.
+Every gcd is taken along the stored form: the vectors by their componentwise
+minimum, and each generic part against the other side's vector by trial
+division, each Phi_k tried first by its residue mod q^k - 1 (k strided sums)
+so that only a hit pays for a division.  Only where two generic parts meet,
+as outside input builds them, does the heuristic integer gcd GCDHEU (Char,
+Geddes & Gonnet, 1989) run, falling back to the primitive remainder sequence
+when the heuristic is unlucky.
 """
 
 from __future__ import annotations
@@ -185,8 +184,9 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial; use QRat")
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"polynomial exponent must be an integer >= 0 (QRat takes negative"
+                             f" ones), got {n!r}")
         return _wrap(self._x ** n)
 
     def monic(self) -> QPoly:
@@ -461,33 +461,47 @@ def _phi_divides(t: Sequence[int], k: int, phi: Sequence[int]) -> bool:
 
 
 def _phi_cancel(t: Sequence[int], v: dict[int, int]) -> tuple[Sequence[int], dict[int, int]]:
-    # (t / h, v - vector(h)) for h the largest divisor of t among the products of
+    # (t / h, vector(h)) for h the largest divisor of t among the products of
     # Phi_k^j, j <= v[k]: gcd(t, product of v) by trial division
-    left = v
+    h = {}
     for k, m in v.items():
         phi, j = _cyclotomic(k)[0], 0
         while j < m and _phi_divides(t, k, phi):
             t, j = _int_divide(t, phi), j + 1
         if j:
-            left = dict(left) if left is v else left
-            if j == m:
-                del left[k]
-            else:
-                left[k] = m - j
-    return t, left
+            h[k] = j
+    return t, h
 
 
-def _cancel(n: Sequence[int], nv: dict[int, int], dv: dict[int, int]):
-    # n Phi^nv over Phi^dv with their common factors cancelled, as (n, nv, dv):
-    # the vectors by their minimum, then the generic n by trial division
-    if not dv:
-        return n, nv, dv
-    common = _phi_min(nv, dv) if nv else None
-    if common:
-        nv, dv = _phi_sub(nv, common), _phi_sub(dv, common)
-    if len(n) > 1 and dv:
-        n, dv = _phi_cancel(n, dv)
-    return n, nv, dv
+def _gcd(a: Sequence[int], av: dict[int, int], b: Sequence[int], bv: dict[int, int]):
+    # (g, gv, a', av', b', bv'): g Phi^gv = gcd(a Phi^av, b Phi^bv) and the
+    # cofactors a' Phi^av' and b' Phi^bv', each a generic part and a vector.  A
+    # shared irreducible factor sits in a vector or a generic part on each side,
+    # and the four pairings are taken in turn: the vectors by their minimum,
+    # each generic part against the other side's leftover vector by trial
+    # division, and two generic parts by GCDHEU.
+    gv = {}
+    if av and bv:
+        if av == bv:
+            gv, av, bv = av, {}, {}
+        else:
+            gv = _phi_min(av, bv)
+            av, bv = _phi_sub(av, gv), _phi_sub(bv, gv)
+    if bv and len(a) > 1:
+        a, h = _phi_cancel(a, bv)
+        bv, gv = _phi_sub(bv, h), _phi_add(gv, h)
+    if av and len(b) > 1:
+        b, h = _phi_cancel(b, av)
+        av, gv = _phi_sub(av, h), _phi_add(gv, h)
+    g = (1,)
+    if len(a) > 1 and len(b) > 1:
+        g, a, b = _int_gcd(a, b)
+    return g, gv, a, av, b, bv
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    # the product of two primitive parts, free when either is 1
+    return b if len(a) == 1 else a if len(b) == 1 else _int_mul(a, b)
 
 
 def _times_phi(n: Sequence[int], v: dict[int, int]) -> Sequence[int]:
@@ -550,24 +564,25 @@ class QRat:
 
     n and d are coprime primitive integer polynomials with positive leading
     coefficients and nonzero constant terms, r > 0, gcd(p, r) = 1 and e is an
-    integer.  n is held as ``_n`` times the product of the cyclotomic vector
-    ``_nv``: the part not known to be cyclotomic, a tuple, and the part that
-    is.  d is held as its vector ``_dv`` and its coefficient tuple ``_d``, built
-    on first use; a denominator without a vector has ``_dv`` None.  Zero has
-    n = (), d = (1,) and p = e = 0, a unit (a scalar times q^e) n = d = (1,) and
-    empty vectors.  The form is unique up to how n splits, so equality and
-    hashing read the coefficients of n wherever the splits differ.  The
-    monic-denominator pair ``num``/``den`` is built on each request, for output
-    only: the power q^e goes to ``num`` when e > 0 and to ``den`` when e < 0.
+    integer.  Both are held alike: n as ``_n`` times the product of the
+    cyclotomic vector ``_nv``, d as ``_d`` times that of ``_dv``, the part not
+    known to be cyclotomic, a tuple, and the part that is; their coefficient
+    tuples ``_nc`` and ``_dc`` are kept once built.  Zero has n = (), d = (1,)
+    and p = e = 0, a unit (a scalar times q^e) n = d = (1,) and empty vectors.
+    The form is unique up to how n and d split, so equality and hashing read
+    the coefficients wherever the splits differ.  The monic-denominator pair
+    ``num``/``den`` is built on each request, for output only: the power q^e
+    goes to ``num`` when e > 0 and to ``den`` when e < 0.
     """
 
-    __slots__ = ("_n", "_nv", "_nc", "_d", "_dv", "_p", "_r", "_e")
+    __slots__ = ("_n", "_nv", "_nc", "_d", "_dv", "_dc", "_p", "_r", "_e")
 
     def __init__(self, num: QRat | QPoly | Scalar, den: QRat | QPoly | Scalar = 1) -> None:
         """num / den for any two elements of Q(q): Henrici's product of num with
         the inverse of den, the one reduction path."""
         x = _require_rat(num) / _require_rat(den)
-        self._n, self._nv, self._nc, self._d, self._dv = x._n, x._nv, x._nc, x._d, x._dv
+        self._n, self._nv, self._nc, self._d, self._dv, self._dc = (x._n, x._nv, x._nc,
+                                                                    x._d, x._dv, x._dc)
         self._p, self._r, self._e = x._p, x._r, x._e
 
     def _ncoeffs(self) -> tuple[int, ...]:
@@ -580,22 +595,22 @@ class QRat:
 
     def _dcoeffs(self) -> tuple[int, ...]:
         # the coefficients of d, kept once built
-        if self._d is None:
-            self._d = tuple(_times_phi((1,), self._dv))
-        return self._d
+        if not self._dv:
+            return self._d
+        if self._dc is None:
+            self._dc = tuple(_times_phi(self._d, self._dv))
+        return self._dc
 
     @property
     def num(self) -> QPoly:
         # the numerator over the monic den: x = (p / (r d[-1])) q^e n / (d / d[-1])
-        lead = 1 if self._dv is not None else self._d[-1]
-        return _wrap(_canonical(self._n, (1,), self._p, self._r * lead, max(self._e, 0), self._nv,
-                                nc=self._nc))
+        return _wrap(_canonical(self._n, (1,), self._p, self._r * self._d[-1], max(self._e, 0),
+                                self._nv, nc=self._nc))
 
     @property
     def den(self) -> QPoly:
-        if self._dv is not None:
-            return _wrap(_canonical((1,), (1,), 1, 1, max(-self._e, 0), self._dv, nc=self._d))
-        return _wrap(_canonical(self._d, (1,), 1, self._d[-1], max(-self._e, 0)))
+        return _wrap(_canonical(self._d, (1,), 1, self._d[-1], max(-self._e, 0), self._dv,
+                                nc=self._dc))
 
     @property
     def is_zero(self) -> bool:
@@ -610,11 +625,8 @@ class QRat:
             return NotImplemented
         if self._p != other._p or self._r != other._r or self._e != other._e:
             return False
-        # two vectors are equal exactly when their products are
-        if self._dv is None or other._dv is None:
-            if self._dcoeffs() != other._dcoeffs():
-                return False
-        elif self._dv != other._dv:
+        # splits with equal vectors are equal exactly when their generic parts are
+        if self._d != other._d if self._dv == other._dv else self._dcoeffs() != other._dcoeffs():
             return False
         if self._nv == other._nv:
             return self._n == other._n
@@ -637,30 +649,13 @@ class QRat:
             return NotImplemented
         if not self._p or not other._p:
             return self if self._p else other
-        r = self._r * other._r
-        dv1, dv2 = self._dv, other._dv
-        if dv1 is not None and dv2 is not None:
-            # g = gcd(d1, d2) is the minimum of the vectors and the common
-            # denominator their maximum; only the Phi_k of g can divide t.
-            if dv1 == dv2:
-                g, c1, c2 = dv1, {}, {}
-            else:
-                g = _phi_min(dv1, dv2)
-                c1, c2 = _phi_sub(dv1, g), _phi_sub(dv2, g)
-            t, t_cont, e = _sum_numerator(self, other, _part(self, c1), _part(other, c2))
-            if len(t) > 1 and g:
-                t, g = _phi_cancel(t, g)
-            return _canonical(t, None, t_cont, r, e, None, _phi_add(_phi_add(c1, c2), g))
-        d1, d2 = self._dcoeffs(), other._dcoeffs()
-        g, c1, c2 = (1,), d1, d2
-        if d1 == d2:
-            g, c1, c2 = d1, (1,), (1,)
-        elif len(d1) > 1 and len(d2) > 1:
-            g, c1, c2 = _int_gcd(d1, d2)
-        t, t_cont, e = _sum_numerator(self, other, c1, c2)
-        if len(t) > 1 and len(g) > 1:
-            _, t, g = _int_gcd(t, g)
-        return _canonical(t, _int_mul(_int_mul(c1, c2), g), t_cont, r, e)
+        # Henrici: over the common denominator c1 c2 g, with g = gcd(d1, d2) and
+        # c_i = d_i / g, only a factor of g can divide the sum's numerator t.
+        g, gv, c1, c1v, c2, c2v = _gcd(self._d, self._dv, other._d, other._dv)
+        t, t_cont, e = _sum_numerator(self, other, _part(self, c1, c1v), _part(other, c2, c2v))
+        _, _, t, _, g, gv = _gcd(t, {}, g, gv)
+        return _canonical(t, _mul(_mul(c1, c2), g), t_cont, self._r * other._r, e, None,
+                          _phi_add(_phi_add(c1v, c2v), gv))
 
     __radd__ = __add__
 
@@ -684,24 +679,16 @@ class QRat:
             return QRAT_ZERO
         p, r, e = self._p * other._p, self._r * other._r, self._e + other._e
         # A unit (n = d = 1) changes only the scalar and the power of q.
-        if self._d == (1,) and self._n == (1,) and not self._nv:
+        if self._n == self._d == (1,) and not self._nv and not self._dv:
             return _rescale(other, p, r, e)
-        if other._d == (1,) and other._n == (1,) and not other._nv:
+        if other._n == other._d == (1,) and not other._nv and not other._dv:
             return _rescale(self, p, r, e)
         # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
-        # can cancel from the product, and each involves one operand's degree only.
-        if self._dv is not None and other._dv is not None:
-            n1, nv1, dv2 = _cancel(self._n, self._nv, other._dv)
-            n2, nv2, dv1 = _cancel(other._n, other._nv, self._dv)
-            n = n1 if len(n2) == 1 else n2 if len(n1) == 1 else _int_mul(n1, n2)
-            return _canonical(n, None, p, r, e, _phi_add(nv1, nv2), _phi_add(dv1, dv2))
-        n1, d1, n2, d2 = self._ncoeffs(), self._dcoeffs(), other._ncoeffs(), other._dcoeffs()
-        # A constant operand leaves nothing to cancel, so it takes no gcd call.
-        if len(n1) > 1 and len(d2) > 1:
-            _, n1, d2 = _int_gcd(n1, d2)
-        if len(n2) > 1 and len(d1) > 1:
-            _, n2, d1 = _int_gcd(n2, d1)
-        return _canonical(_int_mul(n1, n2), _int_mul(d1, d2), p, r, e)
+        # can cancel from the product.
+        _, _, n1, nv1, d2, dv2 = _gcd(self._n, self._nv, other._d, other._dv)
+        _, _, n2, nv2, d1, dv1 = _gcd(other._n, other._nv, self._d, self._dv)
+        return _canonical(_mul(n1, n2), _mul(d1, d2), p, r, e, _phi_add(nv1, nv2),
+                          _phi_add(dv1, dv2))
 
     __rmul__ = __mul__
 
@@ -720,6 +707,8 @@ class QRat:
         return other / self
 
     def __pow__(self, n: int) -> QRat:
+        if not isinstance(n, int):
+            raise ValueError(f"power exponent must be an integer, got {n!r}")
         if n < 0:
             if not self._p:
                 raise ZeroDivisionError("zero has no negative powers")
@@ -728,17 +717,14 @@ class QRat:
             return self if n else QRAT_ONE
         # powers of coprime primitive n and d stay coprime and primitive; a
         # vector scales by n
-        nv, dv = self._nv, self._dv
-        return _canonical(_int_pow(self._n, n), _int_pow(self._d, n) if dv is None else None,
-                          self._p ** n, self._r ** n, self._e * n,
-                          {k: m * n for k, m in nv.items()},
-                          None if dv is None else {k: m * n for k, m in dv.items()})
+        return _canonical(_int_pow(self._n, n), _int_pow(self._d, n), self._p ** n,
+                          self._r ** n, self._e * n, {k: m * n for k, m in self._nv.items()},
+                          {k: m * n for k, m in self._dv.items()})
 
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact rational value at q = q0; PoleError at denominator roots."""
         p, s = Fraction(q0).as_integer_ratio()
-        dv = self._dv
-        d, d_scale = _int_horner(self._d, p, s) if dv is None else _value_at((1,), dv, p, s)
+        d, d_scale = _value_at(self._d, self._dv, p, s)
         e = self._e
         if not d or (e < 0 and not p):
             raise PoleError(f"denominator vanishes at q = {q0}")
@@ -755,11 +741,8 @@ class QRat:
 
 
 def _inverse(x: QRat) -> QRat:
-    # 1/x for nonzero x: n and d trade places; a numerator with a generic part
-    # becomes a denominator without a vector
-    n, nv = ((1,), x._dv) if x._dv is not None else (x._d, {})
-    d, dv = (x._nc, x._nv) if len(x._n) == 1 else (x._ncoeffs(), None)
-    return _canonical(n, d, x._r, x._p, -x._e, nv, dv, nc=x._d)
+    # 1/x for nonzero x: n and d trade places
+    return _canonical(x._d, x._n, x._r, x._p, -x._e, x._dv, x._nv, x._dc, x._nc)
 
 
 def _rescale(x: QRat, p: int, r: int, e: int) -> QRat:
@@ -767,16 +750,16 @@ def _rescale(x: QRat, p: int, r: int, e: int) -> QRat:
     # by a unit, and negation
     out = object.__new__(QRat)
     g = math.gcd(p, r)
-    out._n, out._nv, out._nc, out._d, out._dv = x._n, x._nv, x._nc, x._d, x._dv
+    out._n, out._nv, out._nc, out._d, out._dv, out._dc = x._n, x._nv, x._nc, x._d, x._dv, x._dc
     out._p, out._r, out._e = p // g, r // g, e
     return out
 
 
-def _part(x: QRat, c: dict[int, int]) -> Sequence[int]:
-    # the coefficients of c, a part of x's denominator vector, read from x when whole
-    if not c:
-        return (1,)
-    return x._dcoeffs() if c is x._dv else _times_phi((1,), c)
+def _part(x: QRat, c: Sequence[int], cv: dict[int, int]) -> Sequence[int]:
+    # the coefficients of c Phi^cv, a factor of x's denominator, read from x when whole
+    if not cv:
+        return c
+    return x._dcoeffs() if c is x._d and cv is x._dv else _times_phi(c, cv)
 
 
 def _sum_numerator(x: QRat, y: QRat, c1: Sequence[int], c2: Sequence[int]):
@@ -809,32 +792,24 @@ def _low_zeros(v: Sequence[int]) -> int:
     return next(i for i, c in enumerate(v) if c)
 
 
-def _canonical(n: Sequence[int], d: Sequence[int] | None, p: int, r: int, e: int,
+def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int, e: int,
                nv: dict[int, int] | None = None, dv: dict[int, int] | None = None,
-               nc: tuple[int, ...] | None = None) -> QRat:
-    # (p/r) * q^e * n Phi^nv / d for coprime primitive numerator and d with positive
-    # leads and r != 0, d given by its coefficients, its vector dv, or both, and nc
-    # the coefficients of n Phi^nv where known: the low zeros of n and of a dense d
-    # move into e, a denominator 1 gets both forms, and then only the sign and the
-    # gcd of the scalar are left to fix.
+               nc: tuple[int, ...] | None = None, dc: tuple[int, ...] | None = None) -> QRat:
+    # (p/r) * q^e * n Phi^nv / d Phi^dv for coprime primitive numerator and
+    # denominator with positive leads, d(0) != 0 and r != 0, and nc and dc their
+    # coefficients where known: the low zeros of n move into e, and then only
+    # the sign and the gcd of the scalar are left to fix.
     out = object.__new__(QRat)
     if not p:
-        out._n, out._nv, out._nc, out._d, out._dv = (), {}, None, (1,), {}
+        out._n, out._nv, out._nc, out._d, out._dv, out._dc = (), {}, None, (1,), {}, None
         out._p, out._r, out._e = 0, 1, 0
         return out
     if not n[0]:
         k = _low_zeros(n)
         n, e = n[k:], e + k
-    if d is None:
-        d = None if dv else (1,)
-    else:
-        if not d[0]:
-            k = _low_zeros(d)
-            d, e = d[k:], e - k
-        d = tuple(d)
-        dv = {} if len(d) == 1 else dv
     g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
-    out._n, out._nv, out._nc, out._d, out._dv = tuple(n), {} if nv is None else nv, nc, d, dv
+    out._n, out._nv, out._nc = tuple(n), {} if nv is None else nv, nc
+    out._d, out._dv, out._dc = tuple(d), {} if dv is None else dv, dc
     out._p, out._r, out._e = p // g, r // g, e
     return out
 

@@ -71,7 +71,10 @@ class QSeq:
 
 
 def _require_nonnegative(**values: int) -> None:
+    # before any memo table is read: the tables take 1.0 for 1 as a key
     for name, value in values.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
@@ -146,6 +149,7 @@ def _c_suffix(run: int, tail: tuple[tuple[int, int, int, int], ...], a: int, b: 
 
 def c_value(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> QRat:
     """The double-chain sum c_{mu,nu}(n, k); mu and nu must have equal weight."""
+    _require_nonnegative(n=n, k=k)
     return _c_value(MultiIndex(mu), MultiIndex(nu), n, k)
 
 
@@ -153,7 +157,6 @@ def c_value(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> QRat:
 def _c_value(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> QRat:
     if mu.weight != nu.weight:
         raise ValueError(f"weight mismatch: |{mu.as_text()}| != |{nu.as_text()}|")
-    _require_nonnegative(n=n, k=k)
     opens = dict(zip(sorted(mu.subset_encode()), mu[1:]))  # slot -> mu block size
     nu_cuts = nu.subset_encode()
     bounds = sorted(opens.keys() | nu_cuts) + [mu.weight]

@@ -575,20 +575,22 @@ def _run_task(task: tuple) -> list[Record]:
 def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
     """Enumerate every selected instance family, in a deterministic order.
 
-    With parallelism > 1 the independent tasks run in a process pool; the
-    aggregator preserves task order, so the report content does not depend on
-    the parallelism level.
+    With parallelism > 1 the independent tasks run in a process pool of at
+    most one worker per task; the aggregator preserves task order, so the
+    report content does not depend on the parallelism level.
     """
     config = config or CampaignConfig()
     config.validate()
     tasks = [task for tokens, build in FAMILIES
              if set(tokens) & set(config.identities) for task in build(config)]
     report = VerificationReport(config=config)
-    if config.parallelism == 1:
+    # the pool starts all its workers at once, so it gets no more than the tasks
+    workers = min(config.parallelism, len(tasks))
+    if workers <= 1:
         for task in tasks:
             report.extend(_run_task(task))
     else:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for records in pool.map(_run_task, tasks):
                 report.extend(records)
     return report

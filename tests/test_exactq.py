@@ -190,6 +190,10 @@ class TestQRat:
         assert x ** 2 == x * x
         assert x ** -1 == QRat(1) / x
         assert q_power(-2) * q_power(2) == QRat(1)
+        for base, bad in ((QRat(2), 0.5), (q_integer(3), 2.0), (x, Fraction(1, 2)),
+                          (QPoly((1, 1)), -0.5), (x, "2")):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                base ** bad
 
     def test_hash_consistency(self):
         a = QRat(QPoly((0, 2)), QPoly((2,)))
@@ -422,23 +426,23 @@ def _assert_vector(v):
 
 
 def _assert_stored_form(x: QRat):
-    # (p/r) * q^e * n/d: n = _n times the product of the vector _nv, d the product
-    # of the vector _dv where it is not None and the tuple _d; n, d coprime
-    # primitive with positive leads and nonzero constant terms, r > 0,
-    # gcd(p, r) = 1 and e an int; zero is ((), {}, (1,), {}, 0, 1, 0)
+    # (p/r) * q^e * n/d: n = _n times the product of the vector _nv and d = _d
+    # times that of _dv; n, d coprime primitive with positive leads and nonzero
+    # constant terms, r > 0, gcd(p, r) = 1 and e an int; zero is
+    # ((), {}, (1,), {}, 0, 1, 0)
     n, d, p, s, e = x._ncoeffs(), x._dcoeffs(), x._p, x._r, x._e
-    assert isinstance(x._n, tuple) and isinstance(n, tuple) and isinstance(d, tuple)
+    assert all(isinstance(v, tuple) for v in (x._n, n, x._d, d))
     assert isinstance(e, int) and s > 0 and math.gcd(p, s) == 1
     _assert_vector(x._nv)
+    _assert_vector(x._dv)
     if not p:
-        assert (x._n, x._nv, d, x._dv, s, e) == ((), {}, (1,), {}, 1, 0)
+        assert (x._n, x._nv, x._d, x._dv, s, e) == ((), {}, (1,), {}, 1, 0)
         return
     assert n == tuple(_int_mul(x._n, _ref_phi(x._nv)))
+    assert d == tuple(_int_mul(x._d, _ref_phi(x._dv)))
     assert x._nc is None or x._nc == n
-    if x._dv is not None:
-        _assert_vector(x._dv)
-        assert d == _ref_phi(x._dv)
-    for v in (x._n, n, d):
+    assert x._dc is None or x._dc == d
+    for v in (x._n, n, x._d, d):
         assert v[-1] > 0 and v[0] != 0 and math.gcd(*v) == 1
     assert exactq._int_gcd(n, d)[0] == [1]
 
@@ -935,7 +939,7 @@ def test_q_constants_carry_their_closed_forms():
 def _phi_value(nv, dv):
     # Phi^nv / Phi^dv for disjoint supports, built directly in factored form: the
     # q-constants never put Phi_1 into a vector, so this is how Phi_1 enters one
-    return exactq._canonical((1,), None, 1, 1, 0, nv, dv)
+    return exactq._canonical((1,), (1,), 1, 1, 0, nv, dv)
 
 
 def _factored_corpus(seed, count):
@@ -982,8 +986,8 @@ def _factored_corpus(seed, count):
 
 
 def _dense_twin(x):
-    # the same value built from its coefficient lists: no vectors, so every
-    # operation on it takes the Henrici route with GCDHEU
+    # the same value built from its coefficient lists: generic parts and no
+    # vectors, so two such values meet through GCDHEU
     return QRat(QPoly(x.num.coeffs), QPoly(x.den.coeffs))
 
 
@@ -1039,8 +1043,8 @@ def test_factored_ops_against_henrici_route_and_fraction_reference(monkeypatch):
                 assert _outcome(got, q0) == _outcome(want, q0), (op, x, y, q0)
                 if _fraction_horner(rd, q0):
                     assert got.evaluate(q0) == _ref_value(rn, rd, q0), (op, x, y, q0)
-        # operands that both carry denominator vectors never reach the gcd
-        if x._dv is not None and y._dv is not None:
+        # operands whose denominators are vectors alone never reach the gcd
+        if x._d == (1,) and y._d == (1,):
             monkeypatch.setattr(exactq, "_int_gcd", counting_gcd)
             gcd_calls.clear()
             x + y, x - y, x * y, x ** k if x or k >= 0 else None
@@ -1063,3 +1067,34 @@ def test_factored_poles_at_one_and_minus_one():
     assert _phi_value({1: 1, 2: 1}, {3: 1}).evaluate(1) == 0 == q_integer(2).evaluate(-1)
     assert QRat(q_integer(2) * q_integer(4), q_integer(8)).evaluate(-1) == 0
     assert QRat(q_integer(4), q_integer(2)).evaluate(-1) == 2
+
+
+def test_mixed_operands_keep_their_vector(monkeypatch):
+    # a vector denominator meets a generic one: the sum and the product keep the
+    # vector whole beside the generic part, and no gcd runs
+    calls, gcd = [], exactq._int_gcd
+    monkeypatch.setattr(exactq, "_int_gcd", lambda u, v: calls.append((u, v)) or gcd(u, v))
+    x, y = QRat(1, q_integer(6)), QRat(1, QPoly((1, 2)))
+    for z in (x + y, y + x, x * y, y * x, x - y, x / QRat(QPoly((1, 2)))):
+        assert z._dv == {2: 1, 3: 1, 6: 1} and z._d == (1, 2), z
+    assert calls == []
+    monkeypatch.undo()
+    assert x * y == QRat(1, QPoly((1, 2)) * q_integer(6))
+    assert x + y == QRat(QPoly((1, 2)) + q_integer(6), QPoly((1, 2)) * q_integer(6))
+
+
+def test_inverse_swaps_the_stored_form():
+    mixed = QRat(QPoly((2, -1, 3)) * q_binomial(6, 3), QPoly((1, 0, 5)) * q_integer(7))
+    values = [QRat(q_integer(5), q_factorial(4)), QRat(QPoly((1, 2)), QPoly((3, 0, -1))),
+              QRat(QPoly((1, 1, 1)) * q_integer(6), q_binomial(5, 2)), mixed,
+              Fraction(-3, 7) * q_power(-2) * mixed]
+    values += [x for x, _, _ in _factored_corpus(53, 40) if x]
+    assert mixed._n != (1,) and mixed._nv and mixed._d != (1,) and mixed._dv
+    for x in values:
+        y = 1 / x
+        assert (y._n, y._nv, y._d, y._dv) == (x._d, x._dv, x._n, x._nv)
+        assert (y._p * x._p, y._r * x._r, y._e) == (x._r * y._r, x._p * y._p, -x._e)
+        z = 1 / y
+        assert (z._n, z._nv, z._d, z._dv, z._p, z._r, z._e) == (
+            x._n, x._nv, x._d, x._dv, x._p, x._r, x._e)
+        _assert_stored_form(y)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -162,6 +163,27 @@ class TestCValues:
             c_value(mu, MultiIndex((2,)), -2, 0)
         with pytest.raises(ValueError, match="k must be >= 0, got -1"):
             c_value(mu, MultiIndex((2,)), 0, -1)
+
+    def test_non_integer_indices_rejected_before_the_tables(self):
+        # the memo tables take 1.0 for 1 as a key, so the check must come first:
+        # the same error with cold tables and with the integer entries cached
+        mu, nu = MultiIndex((1, 2)), MultiIndex((2, 1))
+        seq = a_seq(mu)
+        for warm in (False, True):
+            _clear_c_tables()
+            if warm:
+                c_value(mu, nu, 1, 0), a_value(mu, 2), b_value(mu, 2), seq(2)
+            for call, message in (
+                    (lambda: c_value(mu, nu, 1.0, 0), "n must be an integer, got 1.0"),
+                    (lambda: c_value(mu, nu, 1, Fraction(0)),
+                     "k must be an integer, got Fraction(0, 1)"),
+                    (lambda: a_value(mu, 2.0), "n must be an integer, got 2.0"),
+                    (lambda: b_value(mu, 2.0), "n must be an integer, got 2.0"),
+                    (lambda: seq(2.0), "n must be an integer, got 2.0"),
+                    (lambda: delta_qk_table(seq, 1.5, 1), "n_max must be an integer, got 1.5"),
+                    (lambda: delta_qk_closed(seq, 1, 1.5), "k must be an integer, got 1.5")):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call()
 
     def test_closed_form_for_ones(self):
         one = MultiIndex((1,))

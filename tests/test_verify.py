@@ -410,6 +410,37 @@ class TestCampaign:
         b["config"].pop("parallelism")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # a stand-in pool that records its size and maps in-process: no
+        # process is started, whatever parallelism asks for
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+        for weight, ids, tasks in ((2, ("duality",), 3), (1, ("duality",), 1),
+                                   (1, ("prop340",), 0)):
+            cfg = CampaignConfig(max_weight=weight, max_n=1, max_k=1, series_max_weight=weight,
+                                 identities=ids, parallelism=500)
+            rep = run_campaign(cfg)
+            assert rep.config.parallelism == 500 and rep.counts["fail"] == 0
+            serial = run_campaign(replace(cfg, parallelism=1))
+            assert [r.to_dict(include_timing=False) for r in rep.records] == [
+                r.to_dict(include_timing=False) for r in serial.records]
+            assert bool(rep.records) == bool(tasks)
+        assert sizes == [3]
+
     def test_repeat_run_byte_identical_modulo_timing(self):
         cfg = CampaignConfig(max_weight=2, max_n=1, max_k=1, series_orders=3,
                              series_max_weight=2)
