@@ -138,8 +138,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "dual":
             print(parse_multiindex(args.mu).dual().as_text())
@@ -148,13 +147,10 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_compute(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "campaign":
-            return _cmd_campaign(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_campaign(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

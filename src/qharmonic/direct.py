@@ -29,7 +29,8 @@ def _q_ints_at(top: int, q0: Fraction) -> list[Fraction]:
 
 def q_binomial_at(n: int, k: int, q0: Fraction) -> Fraction:
     """Gaussian binomial at q0 via the Pascal-type recurrence (pole-free)."""
-    if k < 0 or k > n:
+    _require_nonnegative(n=n, k=k)
+    if k > n:
         raise ValueError(f"binomial index k={k} out of range for n={n}")
     row = [Fraction(1)] + [Fraction(0)] * k
     for i in range(1, n + 1):
@@ -39,7 +40,10 @@ def q_binomial_at(n: int, k: int, q0: Fraction) -> Fraction:
 
 
 def _require_nonnegative(**values: int) -> None:
+    # exactq's _require_index for low = 0, copied: this module imports no checks
     for name, value in values.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 

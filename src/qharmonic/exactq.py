@@ -118,10 +118,7 @@ class QPoly:
     @classmethod
     def monomial(cls, c: Scalar, power: int) -> QPoly:
         """c * q**power, a unit: no coefficient list is built."""
-        if not isinstance(power, int):
-            raise ValueError(f"monomial power must be an integer, got {power!r}")
-        if power < 0:
-            raise ValueError("monomial power must be non-negative")
+        _require_index(0, power=power)
         c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         return _wrap(q_power(power) * c)
 
@@ -184,9 +181,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QPoly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"polynomial exponent must be an integer >= 0 (QRat takes negative"
-                             f" ones), got {n!r}")
+        _require_index(0, n=n)
         return _wrap(self._x ** n)
 
     def monic(self) -> QPoly:
@@ -479,7 +474,7 @@ def _gcd(a: Sequence[int], av: dict[int, int], b: Sequence[int], bv: dict[int, i
     # shared irreducible factor sits in a vector or a generic part on each side,
     # and the four pairings are taken in turn: the vectors by their minimum,
     # each generic part against the other side's leftover vector by trial
-    # division, and two generic parts by GCDHEU.
+    # division, and two generic parts by GCDHEU unless they are equal.
     gv = {}
     if av and bv:
         if av == bv:
@@ -495,7 +490,7 @@ def _gcd(a: Sequence[int], av: dict[int, int], b: Sequence[int], bv: dict[int, i
         av, gv = _phi_sub(av, h), _phi_add(gv, h)
     g = (1,)
     if len(a) > 1 and len(b) > 1:
-        g, a, b = _int_gcd(a, b)
+        g, a, b = (a, (1,), (1,)) if a == b else _int_gcd(a, b)
     return g, gv, a, av, b, bv
 
 
@@ -519,19 +514,22 @@ def _value_at(u: Sequence[int], v: dict[int, int], p: int, s: int) -> tuple[int,
     return acc, scale
 
 
-def _require_int(name: str, **values: object) -> None:
-    for arg, value in values.items():
+def _require_index(low: int | None, **values: object) -> None:
+    # The one check of a public index, order or exponent: an int, at or above
+    # low unless low is None.  harmonic runs it before its memo tables, which
+    # would take 1.0 for 1 as a key.
+    for name, value in values.items():
         if not isinstance(value, int):
-            raise ValueError(f"{name} argument {arg} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @functools.cache
 def q_integer(n: int) -> QPoly:
     """[n]_q = 1 + q + ... + q^(n-1), the product of Phi_d over the divisors
     d > 1 of n; the empty sum for n = 0."""
-    _require_int("q_integer", n=n)
-    if n < 0:
-        raise ValueError("q_integer requires n >= 0")
+    _require_index(0, n=n)
     if not n:
         return QPoly()
     nv = {d: 1 for d in range(2, n + 1) if not n % d}
@@ -540,9 +538,7 @@ def q_integer(n: int) -> QPoly:
 
 def q_factorial(n: int) -> QPoly:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q, the product of Phi_d^(n//d); [0]_q! = 1."""
-    _require_int("q_factorial", n=n)
-    if n < 0:
-        raise ValueError("q_factorial requires n >= 0")
+    _require_index(0, n=n)
     return _wrap(_canonical((1,), (1,), 1, 1, 0, {d: n // d for d in range(2, n + 1)}))
 
 
@@ -550,9 +546,8 @@ def q_factorial(n: int) -> QPoly:
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial coefficient [n choose k]_q, the product of
     Phi_d^(n//d - k//d - (n-k)//d)."""
-    _require_int("q_binomial", n=n, k=k)
-    if n < 0:
-        raise ValueError("q_binomial requires n >= 0")
+    _require_index(0, n=n)
+    _require_index(None, k=k)
     if k < 0 or k > n:
         raise ValueError(f"q_binomial index k={k} out of range for n={n}")
     nv = {d: m for d in range(2, n + 1) if (m := n // d - k // d - (n - k) // d)}
@@ -707,8 +702,7 @@ class QRat:
         return other / self
 
     def __pow__(self, n: int) -> QRat:
-        if not isinstance(n, int):
-            raise ValueError(f"power exponent must be an integer, got {n!r}")
+        _require_index(None, n=n)
         if n < 0:
             if not self._p:
                 raise ZeroDivisionError("zero has no negative powers")
@@ -834,8 +828,7 @@ def _require_rat(x: QRat | QPoly | Scalar) -> QRat:
 @functools.cache
 def q_power(e: int) -> QRat:
     """q**e as an element of Q(q), the unit with exponent e; e may be negative."""
-    if not isinstance(e, int):
-        raise ValueError(f"q_power exponent must be an integer, got {e!r}")
+    _require_index(None, e=e)
     return _canonical((1,), (1,), 1, 1, e)
 
 

@@ -37,6 +37,7 @@ from .exactq import (
     QRat,
     QRAT_ZERO,
     Scalar,
+    _require_index,
     _require_rat,
     q_binomial,
     q_integer,
@@ -55,7 +56,7 @@ class QSeq:
         self._cache: dict[int, QRat] = {}
 
     def __call__(self, n: int) -> QRat:
-        _require_nonnegative(n=n)
+        _require_index(0, n=n)
         hit = self._cache.get(n)
         if hit is None:
             hit = _require_rat(self._fn(n))
@@ -68,15 +69,6 @@ class QSeq:
         prefix = [_require_rat(v) for v in values]
         tail_value = _require_rat(tail)
         return cls(lambda n: prefix[n] if n < len(prefix) else tail_value)
-
-
-def _require_nonnegative(**values: int) -> None:
-    # before any memo table is read: the tables take 1.0 for 1 as a key
-    for name, value in values.items():
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 # --- the a and b families ---------------------------------------------------
@@ -94,7 +86,7 @@ def a_value(mu: MultiIndex, n: int) -> QRat:
 def b_value(mu: MultiIndex, n: int) -> QRat:
     """The companion sum b_mu(n), whose numerator shifts live on the inner blocks."""
     mu = MultiIndex(mu)
-    _require_nonnegative(n=n)
+    _require_index(0, n=n)
     return q_power(len(mu) - mu.weight) * c_value(MultiIndex((mu.weight,)), mu, 0, n)
 
 
@@ -149,7 +141,7 @@ def _c_suffix(run: int, tail: tuple[tuple[int, int, int, int], ...], a: int, b: 
 
 def c_value(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> QRat:
     """The double-chain sum c_{mu,nu}(n, k); mu and nu must have equal weight."""
-    _require_nonnegative(n=n, k=k)
+    _require_index(0, n=n, k=k)
     return _c_value(MultiIndex(mu), MultiIndex(nu), n, k)
 
 
@@ -178,7 +170,7 @@ def delta_qk_table(seq: QSeq, n_max: int, k_max: int) -> list[list[QRat]]:
     Reads seq(0..n_max+k_max) once, then fills column by column, without
     recursion, from the first difference d(n, k+1) = d(n, k) - q^(k+1) d(n+1, k).
     """
-    _require_nonnegative(n_max=n_max, k_max=k_max)
+    _require_index(0, n_max=n_max, k_max=k_max)
     column = [seq(n) for n in range(n_max + k_max + 1)]
     rows = [[value] for value in column[: n_max + 1]]
     for k in range(k_max):
@@ -191,7 +183,7 @@ def delta_qk_table(seq: QSeq, n_max: int, k_max: int) -> list[list[QRat]]:
 
 def delta_qk_closed(seq: QSeq, n: int, k: int) -> QRat:
     """k-th q-difference at n via the alternating Gaussian-binomial sum."""
-    _require_nonnegative(n=n, k=k)
+    _require_index(0, n=n, k=k)
     total = QRAT_ZERO
     for i in range(k + 1):
         sign = -1 if i & 1 else 1

@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable
 
+from .exactq import _require_index
+
 
 class MultiIndex(tuple):
     """Immutable multi-index (mu_1, ..., mu_p) of positive integers."""
@@ -62,8 +64,7 @@ class MultiIndex(tuple):
 
 def subset_decode(m: int, subset: Iterable[int]) -> MultiIndex:
     """The unique multi-index of weight m whose partial-sum set is `subset`."""
-    if m < 1:
-        raise ValueError("weight must be positive")
+    _require_index(1, m=m)
     cuts = sorted(set(int(s) for s in subset))
     if any(s < 1 or s > m - 1 for s in cuts):
         raise ValueError(f"subset elements must lie in 1..{m - 1}: {cuts}")
@@ -77,8 +78,7 @@ def enumerate_by_weight(m: int) -> list[MultiIndex]:
     Bit i-1 of the mask marks membership of i in the partial-sum subset, so the
     order is deterministic and campaign reports are reproducible.
     """
-    if m < 1:
-        raise ValueError("weight must be positive")
+    _require_index(1, m=m)
     out = []
     for mask in range(1 << (m - 1)):
         subset = [i + 1 for i in range(m - 1) if mask >> i & 1]

@@ -29,7 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactq import QPoly, QRat, QRAT_ONE, QRAT_ZERO, Scalar, _require_rat, q_factorial, q_integer, q_power, q_binomial
+from .exactq import (QPoly, QRat, QRAT_ONE, QRAT_ZERO, Scalar, _require_index, _require_rat,
+                     q_factorial, q_integer, q_power, q_binomial)
 from .harmonic import QSeq, c_value, delta_qk_closed
 from .multiindex import MultiIndex
 
@@ -79,8 +80,7 @@ class BiSeries:
     @classmethod
     def from_function(cls, fn: Callable[[int, int], QRat | Scalar],
                       valid_x: int, valid_y: int) -> BiSeries:
-        if valid_x < 0 or valid_y < 0:
-            raise ValueError("valid orders must be non-negative")
+        _require_index(0, valid_x=valid_x, valid_y=valid_y)
         return cls(tuple(tuple(fn(n, k) for k in range(valid_y + 1))
                          for n in range(valid_x + 1)))
 
@@ -111,6 +111,7 @@ class BiSeries:
                 yield n, k, c
 
     def restrict(self, valid_x: int, valid_y: int) -> BiSeries:
+        _require_index(0, valid_x=valid_x, valid_y=valid_y)
         if valid_x > self._vx or valid_y > self._vy:
             raise TruncationError("cannot enlarge a valid region")
         return BiSeries(tuple(row[: valid_y + 1] for row in self._rows[: valid_x + 1]))
@@ -233,8 +234,8 @@ def qshift_product(first: int, last: int, valid_x: int, valid_y: int) -> BiSerie
     Polynomials are exact, so any requested valid region is fully known.
     ``last < first`` gives the empty product 1.
     """
-    if first < 1:
-        raise ValueError("shift exponents start at 1")
+    _require_index(1, first=first)
+    _require_index(None, last=last)
     *_, coeffs = _shift_products(first, last)
 
     def coeff(n: int, k: int) -> QRat | QPoly:
@@ -253,6 +254,7 @@ def f_a_series(seq: QSeq, valid_x: int, valid_y: int) -> BiSeries:
     divided-power coefficients; the n-th is homogeneous of degree n, so none
     past n = valid_x + valid_y touches the region and the truncation is exact.
     """
+    _require_index(0, valid_x=valid_x, valid_y=valid_y)
     rows = [[QRAT_ZERO] * (valid_y + 1) for _ in range(valid_x + 1)]
     for n, coeffs in enumerate(_shift_products(1, valid_x + valid_y)):
         an = seq(n)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import direct
-from .exactq import QRAT_ZERO, PoleError, QPoly, QRat, q_integer, q_power
+from .exactq import QRAT_ZERO, PoleError, QPoly, QRat, _require_index, q_integer, q_power
 from .harmonic import QSeq, a_seq, b_value, c_value, delta_qk_closed, delta_qk_table
 from .multiindex import MultiIndex, enumerate_by_weight
 from .qseries import (
@@ -96,16 +96,10 @@ class CampaignConfig:
     parallelism: int = 1
 
     def validate(self) -> None:
-        if self.max_weight < 1:
-            raise ValueError("max_weight must be >= 1")
-        if self.max_n < 0 or self.max_k < 0:
-            raise ValueError("max_n and max_k must be >= 0")
-        if self.series_orders < 1:
-            raise ValueError("series_orders must be >= 1")
-        if self.series_max_weight < 1:
-            raise ValueError("series_max_weight must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        _require_index(1, max_weight=self.max_weight)
+        _require_index(0, max_n=self.max_n, max_k=self.max_k)
+        _require_index(1, series_orders=self.series_orders,
+                       series_max_weight=self.series_max_weight, parallelism=self.parallelism)
         bad = [t for t in self.identities if t not in IDENTITY_TOKENS]
         if bad:
             raise ValueError(f"unknown identities: {bad}")

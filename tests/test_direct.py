@@ -24,7 +24,12 @@ NU = (2,)
     (lambda: direct.c_at(MU, NU, 0, -1, Q0), "k must be >= 0, got -1"),
     (lambda: direct.delta_closed_a_at(MU, -1, 2, Q0), "n must be >= 0, got -1"),
     (lambda: direct.delta_closed_a_at(MU, 0, -1, Q0), "k must be >= 0, got -1"),
-], ids=["a_at", "b_at", "c_at-n", "c_at-k", "delta_closed_a_at-n", "delta_closed_a_at-k"])
+    (lambda: direct.a_at(MU, 1.0, Q0), "n must be an integer, got 1.0"),
+    (lambda: direct.c_at(MU, NU, 1.5, 0, Q0), "n must be an integer, got 1.5"),
+    (lambda: direct.delta_closed_a_at(MU, 0, 2.0, Q0), "k must be an integer, got 2.0"),
+    (lambda: direct.q_binomial_at(2.0, 1, Q0), "n must be an integer, got 2.0"),
+], ids=["a_at", "b_at", "c_at-n", "c_at-k", "delta_closed_a_at-n", "delta_closed_a_at-k",
+        "a_at-float", "c_at-float", "delta_closed_a_at-float", "q_binomial_at-float"])
 def test_negative_index_is_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
