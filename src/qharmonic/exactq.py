@@ -26,10 +26,10 @@ Values combine by Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2,
 only gcd(n1, d2) and gcd(n2, d1); a sum, with g = gcd(d1, d2), cancels only
 gcd(n1 (d2/g) + n2 (d1/g), g) after shifting the numerator of the operand
 with the larger exponent to the smaller one.  Inverses and powers take no
-gcd, and since n and d are q-free no gcd sees a factor q.  A unit, a scalar
-times q^e (n = d = 1), multiplies by changing p, r and e alone, with no
-polynomial product.  ``QRat(num, den)`` is num times the inverse of den, so
-this is the one reduction path.
+gcd, and every gcd has a q-free denominator factor as one operand, so none
+has a factor q.  A unit, a scalar times q^e (n = d = 1), multiplies by
+changing p, r and e alone, with no polynomial product.  ``QRat(num, den)``
+is num times the inverse of den, so this is the one reduction path.
 
 Every gcd is taken along the stored form: the vectors by their componentwise
 minimum, and each generic part against the other side's vector by trial
@@ -83,11 +83,11 @@ class QPoly:
     whose denominator d is 1 and exponent e >= 0, so the polynomial is
     (p/r) * q^e * n.  Equality, hashing and arithmetic are the ``QRat`` ones,
     wrapped back into ``QPoly``.
-    ``coeffs[i]`` is the rational coefficient of q**i, built on first use.
+    ``coeffs[i]`` is the rational coefficient of q**i, built on each request.
     The zero polynomial has no coefficients and ``degree`` None.
     """
 
-    __slots__ = ("_x", "_coeffs")
+    __slots__ = ("_x",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
@@ -96,7 +96,7 @@ class QPoly:
         while nums and not nums[-1]:
             nums.pop()
         n, cont = _int_primitive(nums)
-        self._x, self._coeffs = _canonical(n, (1,), cont, den, 0), None
+        self._x = _canonical(n, (1,), cont, den, 0)
 
     @classmethod
     def zero(cls) -> QPoly:
@@ -124,11 +124,8 @@ class QPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            x = self._x
-            self._coeffs = ((Fraction(0),) * x._e
-                            + tuple(Fraction(c * x._p, x._r) for c in x._ncoeffs()))
-        return self._coeffs
+        x = self._x
+        return (Fraction(0),) * x._e + tuple(Fraction(c * x._p, x._r) for c in x._ncoeffs())
 
     @property
     def degree(self) -> int | None:
@@ -204,7 +201,7 @@ class QPoly:
 def _wrap(x: QRat) -> QPoly:
     # the polynomial equal to x, a canonical QRat with d == (1,)
     out = object.__new__(QPoly)
-    out._x, out._coeffs = x, None
+    out._x = x
     return out
 
 
@@ -302,13 +299,6 @@ def _int_prs_gcd(u: list[int], v: list[int]) -> list[int]:
     return u
 
 
-def _int_eval(u: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(u):
-        acc = acc * x + c
-    return acc
-
-
 def _int_horner(u: Sequence[int], p: int, s: int) -> tuple[int, int]:
     # (acc, scale) with acc / scale = u(p/s): Horner over Z, no division
     acc, scale = 0, 1
@@ -335,7 +325,7 @@ def _int_gcd(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int], 
         return [1], u, v
     xi = 2 * min(max(map(abs, u)), max(map(abs, v))) + 29
     for _ in range(_HEU_TRIES):
-        eu, ev = _int_eval(u, xi), _int_eval(v, xi)
+        eu, ev = _int_horner(u, xi, 1)[0], _int_horner(v, xi, 1)[0]
         if eu and ev:
             gamma, digits = math.gcd(eu, ev), []
             while gamma:
@@ -760,7 +750,7 @@ def _sum_numerator(x: QRat, y: QRat, c1: Sequence[int], c2: Sequence[int]):
     # Henrici's sum over the common denominator c1 c2 g, with c_i = d_i / g: the
     # primitive t and its content for p1 r2 n1 c2 q^(e1-e) + p2 r1 n2 c1 q^(e2-e)
     # at e = min(e1, e2), and e.  Only an equal-exponent sum can cancel in its low
-    # terms; their q^k leaves t into e.
+    # terms; their q^k moves from t into e in _canonical.
     a = _int_mul(x._ncoeffs(), [x._p * y._r * c for c in c2])
     b = _int_mul(y._ncoeffs(), [y._p * x._r * c for c in c1])
     e1, e2 = x._e, y._e
@@ -774,16 +764,7 @@ def _sum_numerator(x: QRat, y: QRat, c1: Sequence[int], c2: Sequence[int]):
     while t and not t[-1]:
         t.pop()
     t, t_cont = _int_primitive(t)
-    e = min(e1, e2)
-    if t_cont and not t[0]:
-        k = _low_zeros(t)
-        t, e = t[k:], e + k
-    return t, t_cont, e
-
-
-def _low_zeros(v: Sequence[int]) -> int:
-    # the number of zero coefficients below the first nonzero one of v
-    return next(i for i, c in enumerate(v) if c)
+    return t, t_cont, min(e1, e2)
 
 
 def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int, e: int,
@@ -799,7 +780,7 @@ def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int, e: int,
         out._p, out._r, out._e = 0, 1, 0
         return out
     if not n[0]:
-        k = _low_zeros(n)
+        k = next(i for i, c in enumerate(n) if c)
         n, e = n[k:], e + k
     g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
     out._n, out._nv, out._nc = tuple(n), {} if nv is None else nv, nc

@@ -186,7 +186,6 @@ def delta_qk_closed(seq: QSeq, n: int, k: int) -> QRat:
     _require_index(0, n=n, k=k)
     total = QRAT_ZERO
     for i in range(k + 1):
-        sign = -1 if i & 1 else 1
-        coeff = q_binomial(k, i) * QPoly.monomial(sign, i * (i + 1) // 2)
-        total = total + seq(n + i) * coeff
+        term = seq(n + i) * (q_power(i * (i + 1) // 2) * q_binomial(k, i))
+        total = total - term if i & 1 else total + term
     return total

@@ -20,11 +20,7 @@ class MultiIndex(tuple):
     def __new__(cls, parts: Iterable[int]) -> MultiIndex:
         if type(parts) is cls:  # immutable and already checked
             return parts
-        given = tuple(parts)
-        parts = tuple(int(p) for p in given)
-        if parts != given:
-            bad = next(g for g, p in zip(given, parts) if g != p)
-            raise ValueError(f"multi-index parts must be integers: {bad!r}")
+        parts = _integers(parts, "multi-index parts")
         if not parts:
             raise ValueError("a multi-index must have at least one part")
         if any(p < 1 for p in parts):
@@ -62,10 +58,20 @@ class MultiIndex(tuple):
         return f"MultiIndex({', '.join(str(p) for p in self)})"
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    # the values as ints; each must equal its int, so 2.0 passes and 1.5 and "2" do not
+    given = tuple(values)
+    ints = tuple(int(v) for v in given)
+    if ints != given:
+        bad = next(g for g, i in zip(given, ints) if g != i)
+        raise ValueError(f"{what} must be integers: {bad!r}")
+    return ints
+
+
 def subset_decode(m: int, subset: Iterable[int]) -> MultiIndex:
     """The unique multi-index of weight m whose partial-sum set is `subset`."""
     _require_index(1, m=m)
-    cuts = sorted(set(int(s) for s in subset))
+    cuts = sorted(set(_integers(subset, "subset elements")))
     if any(s < 1 or s > m - 1 for s in cuts):
         raise ValueError(f"subset elements must lie in 1..{m - 1}: {cuts}")
     bounds = [0] + cuts + [m]

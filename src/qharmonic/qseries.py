@@ -169,6 +169,7 @@ def q_partial(s: BiSeries, axis: AxisName) -> BiSeries:
 def lambda_scale(s: BiSeries, axis: AxisName, sign: int = 1) -> BiSeries:
     """Dilation X -> qX (or Y -> qY): multiply a(n, k) by q^(+-n) (resp. q^(+-k))."""
     _, dk = _axis_step(axis)
+    _require_index(None, sign=sign)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     return BiSeries.from_function(lambda n, k: q_power(sign * (n, k)[dk]) * s.coeff(n, k),
@@ -213,17 +214,17 @@ def q_exp(valid_x: int, valid_y: int) -> BiSeries:
                                   valid_x, valid_y)
 
 
-def _shift_products(first: int, last: int) -> Iterator[dict[tuple[int, int], QPoly]]:
+def _shift_products(first: int, last: int) -> Iterator[dict[tuple[int, int], QRat]]:
     """(X - q^first Y)...(X - q^j Y) for j = first-1, ..., last, starting from the
     empty product 1, each as a map (i, j) -> coefficient of X^i Y^j."""
-    coeffs: dict[tuple[int, int], QPoly] = {(0, 0): QPoly.one()}
+    coeffs: dict[tuple[int, int], QRat] = {(0, 0): QRAT_ONE}
     yield coeffs
     for j in range(first, last + 1):
-        nxt: dict[tuple[int, int], QPoly] = {}
-        qj = QPoly.monomial(1, j)
+        nxt: dict[tuple[int, int], QRat] = {}
+        qj = q_power(j)
         for (i, jj), c in coeffs.items():
-            nxt[(i + 1, jj)] = nxt.get((i + 1, jj), QPoly.zero()) + c
-            nxt[(i, jj + 1)] = nxt.get((i, jj + 1), QPoly.zero()) - qj * c
+            nxt[(i + 1, jj)] = nxt.get((i + 1, jj), QRAT_ZERO) + c
+            nxt[(i, jj + 1)] = nxt.get((i, jj + 1), QRAT_ZERO) - qj * c
         coeffs = nxt
         yield coeffs
 
@@ -238,7 +239,7 @@ def qshift_product(first: int, last: int, valid_x: int, valid_y: int) -> BiSerie
     _require_index(None, last=last)
     *_, coeffs = _shift_products(first, last)
 
-    def coeff(n: int, k: int) -> QRat | QPoly:
+    def coeff(n: int, k: int) -> QRat:
         mono = coeffs.get((n, k))
         if mono is None:
             return QRAT_ZERO
@@ -351,6 +352,7 @@ def diag_q_integer(offset: int) -> SeriesOp:
     This is the exact array form of (1 - q^offset Lambda_X Lambda_Y) / (1 - q):
     no division by the polynomial 1 - q ever happens at the array level.
     """
+    _require_index(0, offset=offset)
     return SeriesOp(lambda s: BiSeries.from_function(
         lambda n, k: s.coeff(n, k) * q_integer(n + k + offset), s.valid_x, s.valid_y))
 

@@ -68,3 +68,27 @@ def test_campaign_workload_calls_no_gcd(monkeypatch, name):
     report = verify.run_campaign(config)
     assert report.records and report.all_passed
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("name", ["grid-w5", "series-ops"])
+def test_campaign_workload_builds_no_polynomial_sums(monkeypatch, name):
+    # The closed q-difference and the shifted products compute on QRat: no
+    # QPoly monomial, zero, sum or difference is made on their way.  The tables
+    # start cold, so every value is computed in this campaign.
+    config = verify.parse_config_text(_load_workloads(monkeypatch).config_text(name, 1))
+    for table in MEMO_TABLES:
+        table.cache_clear()
+    calls = []
+    for attr in ("monomial", "zero", "__add__", "__sub__"):
+        original = getattr(exactq.QPoly, attr)
+
+        def counting(*args, _attr=attr, _original=original):
+            calls.append(_attr)
+            return _original(*args)
+
+        # the classmethods come bound, so they are wrapped without their class
+        wrapped = staticmethod(counting) if attr in ("monomial", "zero") else counting
+        monkeypatch.setattr(exactq.QPoly, attr, wrapped)
+    report = verify.run_campaign(config)
+    assert report.records and report.all_passed
+    assert calls == []

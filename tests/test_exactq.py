@@ -533,15 +533,17 @@ def _check_gcd(u, v):
 
 
 def _record_xis(monkeypatch):
-    # Every evaluation point the heuristic tries, in order.
+    # Every evaluation point the heuristic tries, in order: it evaluates through
+    # the Horner that evaluate uses, at p / s with s = 1.
     seen = []
-    original = exactq._int_eval
+    original = exactq._int_horner
 
-    def recording(u, x):
-        seen.append(x)
-        return original(u, x)
+    def recording(u, p, s):
+        if s == 1:
+            seen.append(p)
+        return original(u, p, s)
 
-    monkeypatch.setattr(exactq, "_int_eval", recording)
+    monkeypatch.setattr(exactq, "_int_horner", recording)
     return seen
 
 

@@ -22,7 +22,9 @@ from qharmonic.qseries import (
     BiSeries,
     F_a_series,
     G_series,
+    diag_q_integer,
     f_a_series,
+    lambda_scale,
     q_exp,
     qshift_product,
 )
@@ -65,6 +67,8 @@ ENTRY_POINTS = [
     pytest.param("last", None, lambda v: qshift_product(1, v, 2, 2), id="qshift_product-last"),
     pytest.param("valid_y", 0, lambda v: qshift_product(1, 2, 2, v), id="qshift_product-valid_y"),
     pytest.param("valid_x", 0, lambda v: q_exp(v, 2), id="q_exp"),
+    pytest.param("sign", None, lambda v: lambda_scale(SERIES, "x", v), id="lambda_scale"),
+    pytest.param("offset", 0, lambda v: diag_q_integer(v), id="diag_q_integer"),
     pytest.param("valid_x", 0, lambda v: f_a_series(SEQ, v, 2), id="f_a_series-x"),
     pytest.param("valid_y", 0, lambda v: f_a_series(SEQ, 2, v), id="f_a_series-y"),
     pytest.param("valid_y", 0, lambda v: F_a_series(SEQ, 2, v), id="F_a_series"),

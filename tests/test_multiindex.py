@@ -49,6 +49,14 @@ def test_subset_decode_rejects_out_of_range():
         subset_decode(3, {0})
 
 
+def test_subset_decode_elements_follow_the_parts_rule():
+    # an element must equal its int, as a multi-index part must
+    assert subset_decode(3, [2.0]) == MultiIndex((2, 1))
+    for bad, text in ((1.5, "1.5"), ("2", "'2'")):
+        with pytest.raises(ValueError, match=f"^subset elements must be integers: {text}$"):
+            subset_decode(3, [bad])
+
+
 def test_dual_examples():
     assert MultiIndex((2, 2)).dual() == MultiIndex((1, 2, 1))
     assert MultiIndex((1, 1, 2)).dual() == MultiIndex((3, 1))

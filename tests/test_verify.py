@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qharmonic import direct, verify
+from qharmonic import direct, exactq, verify
 from qharmonic.exactq import PoleError, QPoly, QRat, q_binomial, q_power
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
@@ -195,6 +195,23 @@ class TestRecordsAndWitnesses:
     def test_witness_roundtrip(self):
         value = QRat(QPoly((1, -2, Fraction(1, 3))), QPoly((0, 0, 1)))
         assert qrat_from_witness(witness_from_qrat(value)) == value
+
+    def test_witness_roundtrip_of_a_large_value_takes_one_heuristic_gcd(self, monkeypatch):
+        # A witness rebuilds numerator and denominator as generic polynomials,
+        # here of degree 279 over 298, so reducing them takes one integer gcd.
+        # GCDHEU decides it; the remainder sequence alone is some 50 times slower here.
+        value = a_value((1, 2), 20) + b_value((1, 2), 20)
+        calls = {"_int_gcd": 0, "_int_prs_gcd": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(exactq, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(exactq, name, counting)
+        witness = witness_from_qrat(value)
+        assert (len(witness["num_coeffs"]), len(witness["den_coeffs"])) == (280, 299)
+        assert qrat_from_witness(witness) == value
+        assert calls == {"_int_gcd": 1, "_int_prs_gcd": 0}
 
 
 class TestRecordClock:
