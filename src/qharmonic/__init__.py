@@ -10,7 +10,6 @@ from .exactq import (
     PoleError,
     QPoly,
     QRat,
-    poly_gcd,
     q_binomial,
     q_factorial,
     q_integer,

@@ -37,7 +37,8 @@ division, each Phi_k tried first by its residue mod q^k - 1 (k strided sums)
 so that only a hit pays for a division.  Only where two generic parts meet,
 as outside input builds them, does the heuristic integer gcd GCDHEU (Char,
 Geddes & Gonnet, 1989) run, falling back to the primitive remainder sequence
-when the heuristic is unlucky.
+when the heuristic is unlucky.  These gcds are internal to reduction; the
+module exports none, and ``_canonical`` builds every ``QRat``.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class PoleError(ZeroDivisionError):
 
 
 def _format_terms(coeffs: tuple[Fraction, ...]) -> str:
-    if not coeffs:
-        return "0"
     parts: list[str] = []
     for i, c in enumerate(coeffs):
         if c == 0:
@@ -347,16 +346,6 @@ def _int_gcd(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int], 
     return h, _int_divide(u, h), _int_divide(v, h)
 
 
-def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd in Q[q], via the heuristic integer gcd over Z."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    g = _int_gcd(a._x._ncoeffs(), b._x._ncoeffs())[0]
-    return _wrap(_canonical(g, (1,), 1, g[-1], min(a._x._e, b._x._e)))
-
-
 # --- cyclotomic exponent vectors ------------------------------------------------
 #
 # A vector {k: m} with every m > 0 stands for the product of Phi_k^m; the empty
@@ -464,7 +453,8 @@ def _gcd(a: Sequence[int], av: dict[int, int], b: Sequence[int], bv: dict[int, i
     # shared irreducible factor sits in a vector or a generic part on each side,
     # and the four pairings are taken in turn: the vectors by their minimum,
     # each generic part against the other side's leftover vector by trial
-    # division, and two generic parts by GCDHEU unless they are equal.
+    # division, and two generic parts by GCDHEU unless they are equal or a is a
+    # monomial c q^k, prime to every b here, as b(0) != 0.
     gv = {}
     if av and bv:
         if av == bv:
@@ -479,7 +469,7 @@ def _gcd(a: Sequence[int], av: dict[int, int], b: Sequence[int], bv: dict[int, i
         b, h = _phi_cancel(b, av)
         av, gv = _phi_sub(av, h), _phi_add(gv, h)
     g = (1,)
-    if len(a) > 1 and len(b) > 1:
+    if len(a) > 1 and len(b) > 1 and (a[0] or any(a[:-1])):
         g, a, b = (a, (1,), (1,)) if a == b else _int_gcd(a, b)
     return g, gv, a, av, b, bv
 
@@ -626,7 +616,8 @@ class QRat:
         return hash((n, d, self._p, self._r, 2 * self._e))
 
     def __neg__(self) -> QRat:
-        return _rescale(self, -self._p, self._r, self._e)
+        return _canonical(self._n, self._d, -self._p, self._r, self._e, self._nv, self._dv,
+                          self._nc, self._dc)
 
     def __add__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -665,9 +656,10 @@ class QRat:
         p, r, e = self._p * other._p, self._r * other._r, self._e + other._e
         # A unit (n = d = 1) changes only the scalar and the power of q.
         if self._n == self._d == (1,) and not self._nv and not self._dv:
-            return _rescale(other, p, r, e)
+            return _canonical(other._n, other._d, p, r, e, other._nv, other._dv, other._nc,
+                              other._dc)
         if other._n == other._d == (1,) and not other._nv and not other._dv:
-            return _rescale(self, p, r, e)
+            return _canonical(self._n, self._d, p, r, e, self._nv, self._dv, self._nc, self._dc)
         # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
         # can cancel from the product.
         _, _, n1, nv1, d2, dv2 = _gcd(self._n, self._nv, other._d, other._dv)
@@ -727,16 +719,6 @@ class QRat:
 def _inverse(x: QRat) -> QRat:
     # 1/x for nonzero x: n and d trade places
     return _canonical(x._d, x._n, x._r, x._p, -x._e, x._dv, x._nv, x._dc, x._nc)
-
-
-def _rescale(x: QRat, p: int, r: int, e: int) -> QRat:
-    # x with its scalar and power of q replaced by (p/r) q^e, r > 0: the product
-    # by a unit, and negation
-    out = object.__new__(QRat)
-    g = math.gcd(p, r)
-    out._n, out._nv, out._nc, out._d, out._dv, out._dc = x._n, x._nv, x._nc, x._d, x._dv, x._dc
-    out._p, out._r, out._e = p // g, r // g, e
-    return out
 
 
 def _part(x: QRat, c: Sequence[int], cv: dict[int, int]) -> Sequence[int]:

@@ -141,10 +141,6 @@ class BiSeries:
             return NotImplemented
         return self + (-other)
 
-    def agrees_with(self, other: BiSeries) -> bool:
-        """Equality over the intersection of the two valid regions."""
-        return self.first_discrepancy(other) is None
-
     def first_discrepancy(self, other: BiSeries) -> tuple[int, int, QRat] | None:
         """Smallest (n, k) where the series differ on the common region, with the difference."""
         for n in range(min(self._vx, other._vx) + 1):

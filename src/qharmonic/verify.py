@@ -18,7 +18,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import direct
 from .exactq import QRAT_ZERO, PoleError, QPoly, QRat, _require_index, q_integer, q_power
@@ -204,9 +204,6 @@ class VerificationReport:
         record.wall_ms = (now - self._clock) * 1000.0
         self._clock = now
         self.records.append(record)
-
-    def extend(self, records: Iterable[Record]) -> None:
-        self.records.extend(records)
 
     @property
     def all_passed(self) -> bool:
@@ -582,9 +579,9 @@ def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
     workers = min(config.parallelism, len(tasks))
     if workers <= 1:
         for task in tasks:
-            report.extend(_run_task(task))
+            report.records.extend(_run_task(task))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for records in pool.map(_run_task, tasks):
-                report.extend(records)
+                report.records.extend(records)
     return report

@@ -150,7 +150,7 @@ def test_criterion_7_difference_calculus_suite():
     for mul, lam, par in ((MUL_X, LAMBDA_X, PARTIAL_X), (MUL_Y, LAMBDA_Y, PARTIAL_Y)):
         s = rand_series()
         lhs = apply_op(scalar_op(QPoly((1, -1))) * mul * par, s)
-        assert lhs.agrees_with(apply_op(IDENTITY - lam, s))
+        assert lhs.first_discrepancy(apply_op(IDENTITY - lam, s)) is None
 
     # commutation relations
     s = rand_series()
@@ -158,7 +158,7 @@ def test_criterion_7_difference_calculus_suite():
                  (LAMBDA_X, MUL_X), (LAMBDA_Y, MUL_Y)):
         assert apply_op(q_commutator(a, b), s).is_zero()
     for a, b in ((PARTIAL_X, MUL_X), (PARTIAL_Y, MUL_Y)):
-        assert apply_op(q_commutator(a, b), s).agrees_with(s)
+        assert apply_op(q_commutator(a, b), s).first_discrepancy(s) is None
 
     # coefficient form of the annihilating operator on an arbitrary array
     s = rand_series()
@@ -175,11 +175,11 @@ def test_criterion_7_difference_calculus_suite():
             p = qshift_product(m, n, 6, 6)
             got_x = q_partial(p, "x")
             want_x = qshift_product(m, n - 1, 6, 6).scale(QRat(q_integer(n - m + 1)))
-            assert got_x.agrees_with(want_x), (m, n)
+            assert got_x.first_discrepancy(want_x) is None, (m, n)
             got_y = q_partial(p, "y")
             factor = QRat(QPoly.monomial(-1, m)) * QRat(q_integer(n - m + 1))
             want_y = qshift_product(m + 1, n, 6, 6).scale(factor)
-            assert got_y.agrees_with(want_y), (m, n)
+            assert got_y.first_discrepancy(want_y) is None, (m, n)
 
     # kernel triviality: zero first column forces the zero triangle
     table = delta_qk_table(QSeq.from_values([0] * 7, tail=1), 6, 6)

@@ -69,6 +69,10 @@ def test_compute_wrong_arity(capsys):
     code, _, err = run_cli(capsys, "compute", "a", "1,1")
     assert code == 2
     assert "error" in err
+    code, out, err = run_cli(capsys, "compute", "c", "1", "1", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: compute c takes <mu> <nu> <n> <k>\n"
 
 
 def test_compute_pole(capsys):

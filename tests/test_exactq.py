@@ -22,7 +22,6 @@ from qharmonic.exactq import (
     PoleError,
     QPoly,
     QRat,
-    poly_gcd,
     q_binomial,
     q_factorial,
     q_integer,
@@ -220,6 +219,17 @@ class TestQRat:
         for group, other in zip(groups, groups[1:]):
             assert group[-1] != other[-1] and group[-1] not in {other[-1]}
 
+    def test_equality_compares_denominators(self):
+        # equal numerators, scalars and exponents over different denominators,
+        # split alike and apart, and one value stored in two splits
+        x, y = QRat(1, QPoly((1, 2))), QRat(1, QPoly((1, 3)))
+        assert x._dv == y._dv and x != y and y != x
+        x, y = QRat(1, q_integer(2)), QRat(1, q_integer(3))
+        assert x._dv != y._dv and x != y and y != x
+        x, y = QRat(1, QPoly((1, 1))), QRat(1, q_integer(2))
+        assert (x._d, x._dv) == ((1, 1), {}) and (y._d, y._dv) == ((1,), {2: 1})
+        assert x == y and y == x and hash(x) == hash(y)
+
     def test_ops_read_the_stored_form_without_re_splitting(self, monkeypatch):
         # A product re-splits no operand into content and primitive part, and a
         # sum splits only its new numerator t; the gcds may split their digits.
@@ -341,7 +351,7 @@ def test_inverse_and_canonical_idempotence(x):
     assert (-x).num == neg.num and (-x).den == neg.den
     assert -x + x == QRat(0)
     if not x.is_zero:
-        assert poly_gcd(x.num, x.den).degree == 0
+        assert _fraction_euclid_gcd(x.num, x.den) == QPoly.one()
         assert x.den.leading_coefficient == 1
 
 
@@ -369,17 +379,6 @@ def test_fraction_remainder_oracle():
     assert _fraction_remainder(QPoly((1, 1)), QPoly((0, 1))) == QPoly((1,))
     assert _fraction_remainder(QPoly((1, 2)), QPoly((0, 0, 3))) == QPoly((1, 2))
     assert _fraction_remainder(QPoly((0, 0, 1)), QPoly((2,))).is_zero
-
-
-def test_poly_gcd_against_fraction_euclid():
-    rng = random.Random(11)
-    for _ in range(40):
-        a = QPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 5))])
-        b = QPoly([rng.randint(-4, 4) for _ in range(rng.randint(0, 5))])
-        common = QPoly([rng.randint(-2, 2) for _ in range(3)])
-        if not common.is_zero:
-            a, b = a * common, b * common
-        assert poly_gcd(a, b) == _fraction_euclid_gcd(a, b)
 
 
 # --- differential tests of the integer kernel ---------------------------------
@@ -471,7 +470,9 @@ def test_qpoly_ops_against_fraction_reference():
             (pa * s, _ref_strip(c * s for c in a)),
             (k * pa, _ref_strip(c * k for c in a)),
             (pa + s, _ref_add(a, (s,))),
+            (3 - pa, _ref_add((3,), [-c for c in a])),
         ]
+        assert type(3 - pa) is QPoly
         for got, want in cases:
             _assert_canonical(got)
             assert got.coeffs == want
@@ -656,7 +657,7 @@ def _assert_canonical_rat(r: QRat):
     _assert_canonical(r.num)
     _assert_canonical(r.den)
     assert r.den.leading_coefficient == 1
-    assert poly_gcd(r.num, r.den) == QPoly.one() or r.is_zero
+    assert _fraction_euclid_gcd(r.num, r.den) == QPoly.one() or r.is_zero
     assert not r.is_zero or r.den == QPoly.one()
 
 
@@ -751,7 +752,10 @@ def test_laurent_ops_against_fraction_reference():
             (x - y, _ref_add(_ref_mul(xn, yd), _ref_mul(yn, tuple(-c for c in xd))),
              _ref_mul(xd, yd)),
             (x * y, _ref_mul(xn, yn), _ref_mul(xd, yd)),
+            (3 - x, _ref_add(_ref_mul((3,), xd), [-c for c in xn]), xd),
+            (Fraction(1, 2) - x, _ref_add(_ref_mul((Fraction(1, 2),), xd), [-c for c in xn]), xd),
         ]
+        assert type(3 - x) is QRat and type(Fraction(1, 2) - x) is QRat
         if y:
             cases.append((x / y, _ref_mul(xn, yd), _ref_mul(xd, yn)))
         if x or k >= 0:
@@ -1095,6 +1099,19 @@ def test_equal_generic_denominators_take_no_gcd(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert z == QRat(3, QPoly((1, 2, 3))) and z._d == (1, 2, 3)
+
+
+def test_sum_cancelling_to_a_monomial_takes_no_gcd(monkeypatch):
+    # a numerator c q^k is prime to every generic denominator part g, as g(0) != 0
+    x, y = QRat(1, QPoly((1, 3))), QRat(QPoly((-1, 1)), QPoly((1, 3)))
+    s, t = QRat(QPoly((1, 2)), QPoly((1, 1, 1))), QRat(QPoly((-1, -2, 5)), QPoly((1, 1, 1)))
+    calls, gcd = [], exactq._int_gcd
+    monkeypatch.setattr(exactq, "_int_gcd", lambda u, v: calls.append((u, v)) or gcd(u, v))
+    z, w = x + y, s + t
+    assert calls == []
+    monkeypatch.undo()
+    assert z == QRat(QPoly.variable(), QPoly((1, 3))) and z._d == (1, 3)
+    assert w == QRat(QPoly.monomial(5, 2), QPoly((1, 1, 1))) and w._d == (1, 1, 1)
 
 
 def test_inverse_swaps_the_stored_form():

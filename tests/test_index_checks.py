@@ -4,7 +4,8 @@ A value that is not an int raises ``ValueError("<name> must be an integer, got
 <repr>")`` and one below the argument's bound ``ValueError("<name> must be >=
 <low>, got <value>")``, naming the argument, never a ``TypeError`` from deeper
 down.  exactq's helper gives these texts everywhere but in ``direct``, which
-keeps its own copy of the check.
+keeps its own copy of the check.  Other input checks, each with its own
+message, are listed in ``REJECTIONS`` and matched in full.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from fractions import Fraction
 import pytest
 
 from qharmonic import direct
-from qharmonic.exactq import QPoly, QRat, QRAT_ONE, q_binomial, q_factorial, q_integer, q_power
+from qharmonic.exactq import (
+    PoleError,
+    QPoly,
+    QRat,
+    QRAT_ONE,
+    q_binomial,
+    q_factorial,
+    q_integer,
+    q_power,
+)
 from qharmonic.harmonic import a_seq, a_value, b_value, c_value, delta_qk_closed, delta_qk_table
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight, subset_decode
 from qharmonic.qseries import (
@@ -26,6 +36,7 @@ from qharmonic.qseries import (
     f_a_series,
     lambda_scale,
     q_exp,
+    q_partial,
     qshift_product,
 )
 from qharmonic.verify import CampaignConfig, run_campaign
@@ -114,3 +125,38 @@ def test_non_integer_is_rejected_by_name(name, low, call, bad):
 def test_value_below_the_bound_is_rejected_by_name(name, low, call):
     with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
         call(low - 1)
+
+
+# (exception type, whole message, the call that raises it)
+REJECTIONS = [
+    pytest.param(ValueError, "the zero polynomial has no leading coefficient",
+                 lambda: QPoly().leading_coefficient, id="QPoly.leading_coefficient"),
+    pytest.param(ZeroDivisionError, "zero has no negative powers", lambda: QRat(0) ** -1,
+                 id="QRat.__pow__-zero"),
+    pytest.param(TypeError, "cannot interpret '1' as an element of Q(q)", lambda: QRat("1"),
+                 id="QRat-str"),
+    pytest.param(ValueError, "a series needs at least the (0,0) coefficient",
+                 lambda: BiSeries(()), id="BiSeries-no-rows"),
+    pytest.param(ValueError, "a series needs at least the (0,0) coefficient",
+                 lambda: BiSeries(((),)), id="BiSeries-empty-row"),
+    pytest.param(ValueError, "ragged coefficient rows", lambda: BiSeries(((1, 2), (1,))),
+                 id="BiSeries-ragged"),
+    pytest.param(ValueError, "axis must be 'x' or 'y', got 'z'", lambda: q_partial(SERIES, "z"),
+                 id="q_partial-axis"),
+    pytest.param(ValueError, "sign must be +1 or -1", lambda: lambda_scale(SERIES, "x", 2),
+                 id="lambda_scale-sign"),
+    pytest.param(ValueError, "no identities selected",
+                 lambda: CampaignConfig(identities=()).validate(), id="CampaignConfig-identities"),
+    pytest.param(ValueError, "binomial index k=3 out of range for n=2",
+                 lambda: direct.q_binomial_at(2, 3, Q0), id="direct.q_binomial_at-range"),
+    pytest.param(ValueError, "weight mismatch", lambda: direct.c_at((1,), (2,), 0, 0, Q0),
+                 id="direct.c_at-weights"),
+    pytest.param(PoleError, "[2 choose 1]_q vanishes at q = -1",
+                 lambda: direct.c_at((1,), (1,), 1, 1, -1), id="direct.c_at-pole"),
+]
+
+
+@pytest.mark.parametrize("error, message, call", REJECTIONS)
+def test_bad_input_is_rejected_with_its_message(error, message, call):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

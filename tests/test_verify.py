@@ -239,11 +239,13 @@ class TestRecordClock:
         rep.add(Record("main", {}, "pass", wall_ms=99.0))
         assert [r.wall_ms for r in rep.records] == [500.0, 250.0]
 
-    def test_extend_keeps_stamps(self, clock):
-        rep = VerificationReport()
+    def test_extend_keeps_stamps(self, clock, monkeypatch):
+        # run_campaign appends each task's records with the stamps its task gave
+        monkeypatch.setattr(verify, "_run_task",
+                            lambda task: [Record("main", {}, "pass", wall_ms=7.0)])
         clock[0] += 1.0
-        rep.extend([Record("main", {}, "pass", wall_ms=7.0)])
-        assert rep.records[0].wall_ms == 7.0
+        rep = run_campaign(CampaignConfig(max_weight=2, identities=("main",)))
+        assert rep.records and {r.wall_ms for r in rep.records} == {7.0}
 
     def test_eval_first_record_carries_symbolic_values(self, slow_c_value):
         rep = eval_crosscheck(MultiIndex((2, 1)), 1, 1, [Fraction(2, 3), Fraction(5)])
