@@ -13,7 +13,7 @@ the instance as skipped rather than failed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exactq import PoleError, Scalar
 
@@ -65,34 +65,31 @@ def _nonzero(q_ints: list[Fraction], j: int, q0: Fraction) -> Fraction:
     return q_ints[j]
 
 
-def a_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
-    """a_mu(n) by full chain enumeration at q = q0."""
+def _chain_sum_at(mu: Sequence[int], n: int, q0: Scalar,
+                  exponent: Callable[[tuple[int, ...]], int]) -> Fraction:
+    # The sum over the chains n >= c_1 >= ... >= c_r >= 0 of
+    # q0^exponent(chain) / prod [c_i + 1]_q^mu_i, the one loop of a and b.
     _require_nonnegative(n=n)
     q0 = Fraction(q0)
     q_ints = _q_ints_at(n + 1, q0)
     total = Fraction(0)
     for chain in _chains(n, len(mu)):
-        exp = sum((m - 1) * (c + 1) for m, c in zip(mu, chain))
         den = Fraction(1)
         for m, c in zip(mu, chain):
             den *= _nonzero(q_ints, c + 1, q0) ** m
-        total += q0 ** exp / den
+        total += q0 ** exponent(chain) / den
     return total
+
+
+def a_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
+    """a_mu(n) by full chain enumeration at q = q0."""
+    return _chain_sum_at(mu, n, q0, lambda chain: sum((m - 1) * (c + 1)
+                                                      for m, c in zip(mu, chain)))
 
 
 def b_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
     """b_mu(n) by full chain enumeration at q = q0."""
-    _require_nonnegative(n=n)
-    q0 = Fraction(q0)
-    q_ints = _q_ints_at(n + 1, q0)
-    total = Fraction(0)
-    for chain in _chains(n, len(mu)):
-        exp = sum(c + 1 for c in chain[1:])
-        den = Fraction(1)
-        for m, c in zip(mu, chain):
-            den *= _nonzero(q_ints, c + 1, q0) ** m
-        total += q0 ** exp / den
-    return total
+    return _chain_sum_at(mu, n, q0, lambda chain: sum(c + 1 for c in chain[1:]))
 
 
 def c_at(mu: Sequence[int], nu: Sequence[int], n: int, k: int, q0: Scalar) -> Fraction:

@@ -485,15 +485,6 @@ def _times_phi(n: Sequence[int], v: dict[int, int]) -> Sequence[int]:
     return _binomial_product(list(n), _binomial_exponents(v))
 
 
-def _value_at(u: Sequence[int], v: dict[int, int], p: int, s: int) -> tuple[int, int]:
-    # (acc, scale) with acc / scale the value of u times the product of v at p/s
-    acc, scale = _int_horner(u, p, s)
-    for k, m in v.items():
-        a, b = _int_horner(_cyclotomic(k)[0], p, s)
-        acc, scale = acc * a ** m, scale * b ** m
-    return acc, scale
-
-
 def _require_index(low: int | None, **values: object) -> None:
     # The one check of a public index, order or exponent: an int, at or above
     # low unless low is None.  harmonic runs it before its memo tables, which
@@ -700,11 +691,11 @@ class QRat:
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact rational value at q = q0; PoleError at denominator roots."""
         p, s = Fraction(q0).as_integer_ratio()
-        d, d_scale = _value_at(self._d, self._dv, p, s)
+        d, d_scale = _int_horner(self._dcoeffs(), p, s)
         e = self._e
         if not d or (e < 0 and not p):
             raise PoleError(f"denominator vanishes at q = {q0}")
-        n, n_scale = _value_at(self._n, self._nv, p, s)
+        n, n_scale = _int_horner(self._ncoeffs(), p, s)
         # q0^e = p^e / s^e moves to the other side when e < 0
         up, down = (p ** e, s ** e) if e >= 0 else (s ** -e, p ** -e)
         return Fraction(self._p * n * d_scale * up, self._r * n_scale * d * down)

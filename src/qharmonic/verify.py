@@ -1,9 +1,11 @@
 """Verification campaigns over families of multi-indices, with JSON reports.
 
-Each identity family is checked exactly, instance by instance; a failing record
-always carries the nonzero difference as an exact witness (numerator and
-denominator coefficient lists), so a red result is a reproducible counterexample
-rather than a boolean.
+Each identity family is checked exactly, instance by instance.  A record fails
+exactly when it carries a witness, so a red result is a reproducible
+counterexample rather than a boolean.  The witness is the nonzero difference of
+the two sides (numerator and denominator coefficient lists), the evaluation
+values that fail to coincide, or a kernel element: the first nonzero
+coefficient of an input that an operator sends to zero.
 
 Campaigns are deterministic: instances are generated in a fixed order, random
 inputs come from seeds derived from a recorded base seed, and reports are
@@ -190,8 +192,7 @@ class VerificationReport:
 
     The report keeps the record clock: `add` stamps each record's wall_ms with
     the time since the previous `add`, or since the report was created, so the
-    records of one identity check cover all of its work.  `extend` copies records from
-    other reports and keeps their stamps.
+    records of one identity check cover all of its work.
     """
 
     def __init__(self, config: CampaignConfig | None = None) -> None:
@@ -232,15 +233,16 @@ class VerificationReport:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
 
 
+def _record(identity: str, params: dict, witness: dict | None,
+            valid_region: list | None = None) -> Record:
+    # The one place a check's outcome is set: it fails exactly when it has a witness.
+    return Record(identity, params, "pass" if witness is None else "fail", witness,
+                  valid_region)
+
+
 def _qrat_record(identity: str, params: dict, lhs: QRat, rhs: QRat) -> Record:
     diff = lhs - rhs
-    ok = diff.is_zero
-    return Record(
-        identity=identity,
-        params=params,
-        status="pass" if ok else "fail",
-        witness=None if ok else witness_from_qrat(diff),
-    )
+    return _record(identity, params, None if diff.is_zero else witness_from_qrat(diff))
 
 
 def _series_record(identity: str, params: dict, got: BiSeries, want: BiSeries) -> Record:
@@ -250,13 +252,8 @@ def _series_record(identity: str, params: dict, got: BiSeries, want: BiSeries) -
     params = dict(params)
     if disc is not None:
         params["first_discrepancy_at"] = [disc[0], disc[1]]
-    return Record(
-        identity=identity,
-        params=params,
-        status="pass" if disc is None else "fail",
-        witness=None if disc is None else witness_from_qrat(disc[2]),
-        valid_region=[vx, vy],
-    )
+    return _record(identity, params, None if disc is None else witness_from_qrat(disc[2]),
+                   [vx, vy])
 
 
 # --- identity drivers ---------------------------------------------------------
@@ -279,11 +276,9 @@ def verify_main_identity(mu: MultiIndex, n_max: int, k_max: int) -> Verification
             rhs = c_value(mu, dual, n, k)
             params = {"mu": list(mu), "n": n, "k": k}
             rec = _qrat_record("main", params, closed, rhs)
-            if rec.status == "pass":
-                stepped = iterated[n][k]
-                if stepped != closed:
-                    rec = Record("main", {**params, "check": "iterated_vs_closed"},
-                                 "fail", witness_from_qrat(stepped - closed))
+            if rec.status == "pass" and iterated[n][k] != closed:
+                rec = _qrat_record("main", {**params, "check": "iterated_vs_closed"},
+                                   iterated[n][k], closed)
             report.add(rec)
     return report
 
@@ -440,9 +435,8 @@ def verify_injectivity(orders: int, seed: int, count: int = 10) -> VerificationR
     fixed = _inside_image(lambda n, k: QRat(n + 2 * k + 1), orders)
     disc = next(filter(None, (_solve_shifted_lowering(case, apply_op(op, fixed))
                               .first_discrepancy(fixed) for case, op in ops)), None)
-    report.add(Record("lemma370", {"check": "kernel_recurrence", "orders": orders},
-                      "pass" if disc is None else "fail",
-                      witness=None if disc is None else witness_from_qrat(disc[2])))
+    report.add(_record("lemma370", {"check": "kernel_recurrence", "orders": orders},
+                       None if disc is None else witness_from_qrat(disc[2])))
 
     for idx in range(count):
         masked = _inside_image(_random_series(rng, orders, orders).coeff, orders)
@@ -450,13 +444,15 @@ def verify_injectivity(orders: int, seed: int, count: int = 10) -> VerificationR
             continue
         for case, op in ops:
             image = apply_op(op, masked)
-            ok = not image.is_zero()
-            report.add(Record(
+            witness = None
+            if image.is_zero():
+                # the nonzero input lies in the kernel: its first nonzero coefficient
+                witness = witness_from_qrat(next(c for _, _, c in masked.enumerate() if c))
+            report.add(_record(
                 "lemma370",
                 {"check": "injectivity", "case": case, "orders": orders,
                  "seed": seed, "sample": idx},
-                "pass" if ok else "fail",
-                valid_region=list(image.valid_region)))
+                witness, list(image.valid_region)))
     return report
 
 
@@ -528,8 +524,7 @@ def eval_crosscheck(mu: MultiIndex, n: int, k: int,
             ok = direct_lhs == direct_rhs == sym_lhs == sym_rhs
             witness = None if ok else {"values": [str(direct_lhs), str(direct_rhs),
                                                   str(sym_lhs), str(sym_rhs)]}
-            rec = Record("main", {**params, "check": "eval"},
-                         "pass" if ok else "fail", witness=witness)
+            rec = _record("main", {**params, "check": "eval"}, witness)
         report.add(rec)
     return report
 

@@ -443,7 +443,7 @@ def _assert_stored_form(x: QRat):
     assert x._dc is None or x._dc == d
     for v in (x._n, n, x._d, d):
         assert v[-1] > 0 and v[0] != 0 and math.gcd(*v) == 1
-    assert exactq._int_gcd(n, d)[0] == [1]
+    assert _fraction_euclid_gcd(QPoly(n), QPoly(d)) == QPoly.one()
 
 
 def _assert_canonical(p: QPoly):

@@ -16,6 +16,7 @@ from qharmonic.exactq import PoleError, QPoly, QRat, q_binomial, q_power
 from qharmonic.harmonic import a_value, b_value, c_value, delta_qk_closed, a_seq
 from qharmonic.multiindex import MultiIndex, enumerate_by_weight
 from qharmonic.qseries import (
+    IDENTITY,
     LAMBDA_Y,
     PARTIAL_X,
     PARTIAL_Y,
@@ -105,8 +106,7 @@ SECOND_CONTROLS = {
 def _shows_its_discrepancy(rec: Record) -> bool:
     """Whether a failing record shows its discrepancy, for each witness kind."""
     if rec.witness is None:
-        # an injectivity record fails with no witness: its image is the zero array
-        return rec.params.get("check") == "injectivity"
+        return False
     if "values" in rec.witness:
         # an eval record's witness is the four values that must coincide
         return len(set(rec.witness["values"])) > 1
@@ -289,6 +289,16 @@ class TestIdentityDrivers:
         [rec] = verify_injectivity(4, DEFAULT_SEED, count=0).records
         assert rec.status == "fail"
         assert not qrat_from_witness(rec.witness).is_zero
+
+    def test_injectivity_fails_with_a_kernel_element_for_a_zero_operator(self, monkeypatch):
+        # negative control: the zero operator sends every input to the zero array
+        monkeypatch.setattr(verify, "lowering_op_i_shifted", lambda: 0 * IDENTITY)
+        records = [r for r in verify_injectivity(4, DEFAULT_SEED, count=2).records
+                   if r.params["check"] == "injectivity" and r.params["case"] == 1]
+        assert len(records) == 2
+        for rec in records:
+            assert rec.status == "fail"
+            assert not qrat_from_witness(rec.witness).is_zero
 
     @pytest.mark.parametrize("run", [
         lambda: verify.verify_closed_difference(3, DEFAULT_SEED, count=2),
