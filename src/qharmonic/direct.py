@@ -13,6 +13,7 @@ the instance as skipped rather than failed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Sequence
 
 from .exactq import PoleError, Scalar
@@ -48,14 +49,24 @@ def _require_nonnegative(**values: int) -> None:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _require_parts(mu: Sequence[int]) -> tuple[int, ...]:
+    # MultiIndex's checks in its words, copied: this module imports no checks
+    parts = tuple(int(m) for m in mu)
+    for m, p in zip(mu, parts):
+        if m != p:  # 2.0 passes as 2; 1.5 and "2" do not
+            raise ValueError(f"multi-index parts must be integers: {m!r}")
+    if not parts:
+        raise ValueError("a multi-index must have at least one part")
+    if any(p < 1 for p in parts):
+        raise ValueError(f"multi-index parts must be positive: {parts}")
+    return parts
+
+
 def _chains(head: int, length: int) -> Iterator[tuple[int, ...]]:
-    # All weakly decreasing tuples of the given length starting at head.
-    if length == 1:
-        yield (head,)
-        return
-    for nxt in range(head + 1):
-        for rest in _chains(nxt, length - 1):
-            yield (head,) + rest
+    # All weakly decreasing tuples of the given length starting at head: each
+    # weakly increasing tail from itertools, read backwards.
+    for tail in combinations_with_replacement(range(head + 1), length - 1):
+        yield (head,) + tail[::-1]
 
 
 def _nonzero(q_ints: list[Fraction], j: int, q0: Fraction) -> Fraction:
@@ -66,9 +77,10 @@ def _nonzero(q_ints: list[Fraction], j: int, q0: Fraction) -> Fraction:
 
 
 def _chain_sum_at(mu: Sequence[int], n: int, q0: Scalar,
-                  exponent: Callable[[tuple[int, ...]], int]) -> Fraction:
+                  exponent: Callable[[tuple[int, ...], tuple[int, ...]], int]) -> Fraction:
     # The sum over the chains n >= c_1 >= ... >= c_r >= 0 of
-    # q0^exponent(chain) / prod [c_i + 1]_q^mu_i, the one loop of a and b.
+    # q0^exponent(mu, chain) / prod [c_i + 1]_q^mu_i, the one loop of a and b.
+    mu = _require_parts(mu)
     _require_nonnegative(n=n)
     q0 = Fraction(q0)
     q_ints = _q_ints_at(n + 1, q0)
@@ -77,24 +89,25 @@ def _chain_sum_at(mu: Sequence[int], n: int, q0: Scalar,
         den = Fraction(1)
         for m, c in zip(mu, chain):
             den *= _nonzero(q_ints, c + 1, q0) ** m
-        total += q0 ** exponent(chain) / den
+        total += q0 ** exponent(mu, chain) / den
     return total
 
 
 def a_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
     """a_mu(n) by full chain enumeration at q = q0."""
-    return _chain_sum_at(mu, n, q0, lambda chain: sum((m - 1) * (c + 1)
-                                                      for m, c in zip(mu, chain)))
+    return _chain_sum_at(mu, n, q0, lambda mu, chain: sum((m - 1) * (c + 1)
+                                                          for m, c in zip(mu, chain)))
 
 
 def b_at(mu: Sequence[int], n: int, q0: Scalar) -> Fraction:
     """b_mu(n) by full chain enumeration at q = q0."""
-    return _chain_sum_at(mu, n, q0, lambda chain: sum(c + 1 for c in chain[1:]))
+    return _chain_sum_at(mu, n, q0, lambda mu, chain: sum(c + 1 for c in chain[1:]))
 
 
 def c_at(mu: Sequence[int], nu: Sequence[int], n: int, k: int, q0: Scalar) -> Fraction:
     """c_{mu,nu}(n, k) by enumerating both chains at q = q0."""
     q0 = Fraction(q0)
+    mu, nu = _require_parts(mu), _require_parts(nu)
     if sum(mu) != sum(nu):
         raise ValueError("weight mismatch")
     _require_nonnegative(n=n, k=k)

@@ -311,7 +311,7 @@ _HEU_TRIES = 6
 
 
 def _int_gcd(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
-    """(h, u/h, v/h) with h = gcd(u, v), for primitive u, v with positive leads.
+    """(h, u/h, v/h) with h = gcd(u, v), for nonconstant primitive u, v with positive leads.
 
     GCDHEU: evaluate at an integer xi, take the integer gcd of the values and
     read a candidate off its balanced base-xi digits.  For xi >= 2 min(|u|, |v|)
@@ -320,8 +320,6 @@ def _int_gcd(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int], 
     candidate retries at a larger xi; after _HEU_TRIES rejections the primitive
     remainder sequence decides.
     """
-    if len(u) == 1 or len(v) == 1:
-        return [1], u, v
     xi = 2 * min(max(map(abs, u)), max(map(abs, v))) + 29
     for _ in range(_HEU_TRIES):
         eu, ev = _int_horner(u, xi, 1)[0], _int_horner(v, xi, 1)[0]

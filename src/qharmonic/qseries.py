@@ -66,16 +66,12 @@ class BiSeries:
         self._rows: tuple[tuple[QRat, ...], ...] = tuple(
             tuple(_require_rat(c) for c in row) for row in rows
         )
-        vx = len(self._rows) - 1
-        if vx < 0:
-            raise ValueError("a series needs at least the (0,0) coefficient")
         widths = {len(r) for r in self._rows}
-        if len(widths) != 1:
+        if len(widths) > 1:
             raise ValueError("ragged coefficient rows")
-        vy = widths.pop() - 1
-        if vy < 0:
+        if not any(widths):  # no rows, or rows of no coefficients
             raise ValueError("a series needs at least the (0,0) coefficient")
-        self._vx, self._vy = vx, vy
+        self._vx, self._vy = len(self._rows) - 1, widths.pop() - 1
 
     @classmethod
     def from_function(cls, fn: Callable[[int, int], QRat | Scalar],

@@ -299,8 +299,6 @@ def verify_duality(mu: MultiIndex, k_max: int) -> VerificationReport:
 def _inductive_case(mu: MultiIndex, nu: MultiIndex) -> int:
     if mu.weight != nu.weight:
         raise ValueError("weight mismatch")
-    if mu.weight < 2:
-        raise ValueError("the inductive relations need weight >= 2")
     if mu[0] >= 2 and nu[0] == 1:
         return 1
     if mu[0] == 1 and nu[0] >= 2:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from test_verify import NEGATIVE_CONTROLS
 
-from qharmonic import cli
+from qharmonic import cli, verify
 from qharmonic.cli import main
 from qharmonic.verify import IDENTITY_TOKENS, CampaignConfig, VerificationReport
 
@@ -111,6 +112,18 @@ def test_verify_small(capsys, tokens):
     assert code == 0
     assert out.startswith("ok:")
     assert out.strip().endswith("0 failed, 0 skipped")
+
+
+def test_verify_prints_each_failure_and_exits_1(capsys, monkeypatch):
+    # main under its negative control: c at (mu, mu) in place of (mu, mu*)
+    name, mutant = NEGATIVE_CONTROLS["main"]
+    monkeypatch.setattr(verify, name, mutant)
+    code, out, _ = run_cli(capsys, "verify", "main", "--max-weight", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:-1] and all(line.startswith("FAIL main {") and " witness=" in line
+                              for line in lines[:-1])
+    assert lines[-1].startswith("FAILED:")
 
 
 def test_verify_defaults_come_from_campaign_config(capsys):

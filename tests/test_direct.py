@@ -11,6 +11,7 @@ import pytest
 
 from qharmonic import direct
 from qharmonic.exactq import PoleError
+from qharmonic.multiindex import MultiIndex
 
 Q0 = Fraction(2)
 MU = (1, 1)
@@ -33,6 +34,36 @@ NU = (2,)
 def test_negative_index_is_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _multiindex_message(parts) -> str:
+    with pytest.raises(ValueError) as exc:
+        MultiIndex(parts)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("parts", [(), (0, 2), (-1, 3), (1.5,), (1, "2")],
+                         ids=["empty", "zero", "negative", "float", "str"])
+@pytest.mark.parametrize("call", [
+    lambda parts: direct.a_at(parts, 2, Q0),
+    lambda parts: direct.b_at(parts, 2, Q0),
+    lambda parts: direct.c_at(parts, (2,), 1, 1, Q0),
+    lambda parts: direct.c_at((2,), parts, 1, 1, Q0),
+], ids=["a_at", "b_at", "c_at-mu", "c_at-nu"])
+def test_bad_multiindex_is_rejected_in_multiindex_words(call, parts):
+    # the symbolic route refuses these through MultiIndex; direct says the same
+    with pytest.raises(ValueError) as exc:
+        call(parts)
+    assert str(exc.value) == _multiindex_message(parts)
+
+
+def test_integral_float_parts_count_as_integers():
+    # MultiIndex takes 2.0 as 2, so the direct route gives the same exact value
+    for got, want in [(direct.a_at((2.0, 1), 2, Q0), direct.a_at((2, 1), 2, Q0)),
+                      (direct.b_at((1, 2.0), 2, Q0), direct.b_at((1, 2), 2, Q0)),
+                      (direct.c_at((2.0,), (1.0, 1), 1, 1, Q0),
+                       direct.c_at((2,), (1, 1), 1, 1, Q0))]:
+        assert type(got) is Fraction and got == want
 
 
 def test_imports_only_stdlib_and_two_kernel_names():

@@ -268,12 +268,16 @@ class TestIdentityDrivers:
         assert len(rep.records) == 5
 
     def test_inductive_relations_preconditions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="neither case applies to mu=2,1, nu=2,1"):
             verify_inductive_relations(MultiIndex((2, 1)), MultiIndex((2, 1)), 2, 2, 3)
-        with pytest.raises(ValueError):
+        # the one pair of weight 1 fails the case test
+        with pytest.raises(ValueError, match="neither case applies to mu=1, nu=1"):
             verify_inductive_relations(MultiIndex((1,)), MultiIndex((1,)), 2, 2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weight mismatch"):
             verify_inductive_relations(MultiIndex((2,)), MultiIndex((1, 1, 1)), 2, 2, 3)
+        # case 2 by its first parts, but the weights differ: no reduction is tried
+        with pytest.raises(ValueError, match="weight mismatch"):
+            verify_inductive_relations(MultiIndex((1,)), MultiIndex((2,)), 2, 2, 3)
 
     def test_kernel_recurrence_record_passes(self):
         [rec] = verify_injectivity(4, DEFAULT_SEED, count=0).records
