@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,8 +117,9 @@ def _print_outcome(report: VerificationReport) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     flags = {"max_weight": args.max_weight, "series_max_weight": args.max_weight,
              "max_n": args.max_n, "max_k": args.max_k, "series_orders": args.orders}
-    config = replace(CampaignConfig(), identities=tuple(args.identities),
-                     **{key: val for key, val in flags.items() if val is not None})
+    config = CampaignConfig()._replace(
+        identities=tuple(args.identities),
+        **{key: val for key, val in flags.items() if val is not None})
     return _print_outcome(run_campaign(config))
 
 

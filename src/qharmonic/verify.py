@@ -17,10 +17,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import direct
 from .exactq import QRAT_ZERO, PoleError, QPoly, QRat, _require_index, q_integer, q_power
@@ -78,8 +76,7 @@ IDENTITY_TOKENS = tuple(dict.fromkeys(t for tokens, _ in FAMILIES for t in token
 DEFAULT_EVAL_POINTS = (Fraction(2, 3), Fraction(5), Fraction(-2))
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     """Ranges and switches for a verification campaign.
 
     Symbolic grids (duality, main, the scalar inductive relation) run up to
@@ -112,7 +109,7 @@ class CampaignConfig:
                 raise ValueError("eval points must avoid q = 0 and q = 1")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "identities": list(self.identities),
+        return {**self._asdict(), "identities": list(self.identities),
                 "eval_points": [str(p) for p in self.eval_points]}
 
 
@@ -131,7 +128,7 @@ def parse_config_text(text: str) -> CampaignConfig:
             raise ValueError(f"malformed config line: {raw!r}")
         key = key.strip()
         val = val.strip()
-        if key not in {f.name for f in fields(CampaignConfig)}:
+        if key not in CampaignConfig._fields:
             raise ValueError(f"unknown config key: {key!r}")
         if key in values:
             raise ValueError(f"repeated config key: {key!r}")
@@ -145,13 +142,12 @@ def parse_config_text(text: str) -> CampaignConfig:
                 values[key] = int(val)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad value for config key {key!r}: {val!r} ({exc})") from None
-    config = replace(CampaignConfig(), **values)
+    config = CampaignConfig()._replace(**values)
     config.validate()
     return config
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     """One verified instance: parameters, outcome, exact witness when failing."""
 
     identity: str
@@ -190,9 +186,9 @@ def qrat_from_witness(witness: dict) -> QRat:
 class VerificationReport:
     """Ordered collection of records plus campaign metadata.
 
-    The report keeps the record clock: `add` stamps each record's wall_ms with
-    the time since the previous `add`, or since the report was created, so the
-    records of one identity check cover all of its work.
+    The report keeps the record clock: `add` stores a copy of each record
+    whose wall_ms is the time since the previous `add`, or since the report
+    was created, so the records of one identity check cover all of its work.
     """
 
     def __init__(self, config: CampaignConfig | None = None) -> None:
@@ -202,9 +198,8 @@ class VerificationReport:
 
     def add(self, record: Record) -> None:
         now = time.perf_counter()
-        record.wall_ms = (now - self._clock) * 1000.0
+        self.records.append(record._replace(wall_ms=(now - self._clock) * 1000.0))
         self._clock = now
-        self.records.append(record)
 
     @property
     def all_passed(self) -> bool:
@@ -574,6 +569,8 @@ def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
         for task in tasks:
             report.records.extend(_run_task(task))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for records in pool.map(_run_task, tasks):
                 report.records.extend(records)

@@ -10,14 +10,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qharmonic"
 
 
 def _sets_an_outcome(node: ast.AST) -> bool:
-    # Record(...) without the literal "skip" among its arguments, or a store
-    # to some record's .status
+    # Record(...) without the literal "skip" among its arguments, a store to
+    # some record's .status, or a ._replace(...) that passes a status keyword
     if isinstance(node, ast.Attribute):
         return node.attr == "status" and isinstance(node.ctx, ast.Store)
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "_replace":
+        return any(kw.arg == "status" for kw in node.keywords)
     args = [*node.args, *(kw.value for kw in node.keywords)]
     return name == "Record" and not any(
         isinstance(a, ast.Constant) and a.value == "skip" for a in args)
@@ -52,9 +54,11 @@ def test_finder_sees_every_setter():
         "def f():\n    def g():\n        return Record('x', {}, 'fail')\n"
         "    return Record('x', {}, 'pass')\n"
         "X = [Record('x', {}, s) for s in ('pass', 'skip')]\n"
+        "def stamp(rec):\n    return rec._replace(wall_ms=1.0)\n"
+        "def reopen(rec):\n    return rec._replace(status='pass')\n"
     )
     assert outcome_setters(source) == ["_record", "by_keyword", "R.flip", "f.g", "f",
-                                       "<module>"]
+                                       "<module>", "reopen"]
 
 
 def test_record_is_the_only_outcome_setter():

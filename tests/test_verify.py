@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -353,8 +353,8 @@ class TestIdentityDrivers:
         assert rep.all_passed
 
     def test_series_suite_small(self):
-        rep = run_campaign(replace(
-            SMALL, identities=("thm380", "lemma360", "lemma370", "prop240")))
+        rep = run_campaign(SMALL._replace(
+            identities=("thm380", "lemma360", "lemma370", "prop240")))
         assert rep.all_passed
         kinds = {r.identity for r in rep.records}
         assert kinds == {"thm380", "lemma360", "lemma370", "prop240"}
@@ -461,14 +461,15 @@ class TestCampaign:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+        # run_campaign imports the pool class from its module inside the pool branch
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         for weight, ids, tasks in ((2, ("duality",), 3), (1, ("duality",), 1),
                                    (1, ("prop340",), 0)):
             cfg = CampaignConfig(max_weight=weight, max_n=1, max_k=1, series_max_weight=weight,
                                  identities=ids, parallelism=500)
             rep = run_campaign(cfg)
             assert rep.config.parallelism == 500 and rep.counts["fail"] == 0
-            serial = run_campaign(replace(cfg, parallelism=1))
+            serial = run_campaign(cfg._replace(parallelism=1))
             assert [r.to_dict(include_timing=False) for r in rep.records] == [
                 r.to_dict(include_timing=False) for r in serial.records]
             assert bool(rep.records) == bool(tasks)
