@@ -15,9 +15,10 @@ slot walk of (mu, nu), each run of slots between block boundaries contributing
 one power of its fused factor, memoized on (run, remaining steps, n-value,
 k-value); the key names neither mu nor nu, so pairs whose walks end alike share
 entries.  At a boundary the sum over the lower chain values is a running 2-D
-sum held in the same memo, so a state costs O(1) additions, not O(nk), and the
-recursion is as deep as the number of boundaries, whatever n and k are.  a and
-b are c sums against a one-block partner index, so they share that memo.
+sum held in the same memo, so a state costs O(1) additions, not O(nk).  The
+suffixes are filled shortest first, so the recursion stays a few calls deep
+whatever the weight, n and k are.  a and b are c sums against a one-block
+partner index, so they share that memo.
 
 The q-differences of a sequence have one iterated route, ``delta_qk_table``,
 which fills a whole (n, k) table by the first difference, beside the closed
@@ -154,6 +155,10 @@ def _c_value(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> QRat:
     bounds = sorted(opens.keys() | nu_cuts) + [mu.weight]
     steps = tuple((int(s in opens), int(s in nu_cuts), opens.get(s, 1) - 1, end - s)
                   for s, end in zip(bounds, bounds[1:]))
+    # fill the suffixes shortest first, so each finds the next one in the memo
+    # and the walk stays a few calls deep however many boundaries there are
+    for i in range(len(steps) - 1, 0, -1):
+        _c_suffix(0, steps[i:], n, k)
     prefactor = QRat(QPoly.one(), q_binomial(n + k, n))
     lead = q_power((mu[0] - 1) * (n + 1))
     return prefactor * lead * _c_suffix(bounds[0], steps, n, k)

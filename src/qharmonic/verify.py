@@ -495,7 +495,7 @@ def eval_crosscheck(mu: MultiIndex, n: int, k: int,
     """Compare the symbolic difference-formula values with direct evaluation.
 
     Four numbers per q-point must coincide: both sides summed directly over
-    the defining chains in Fraction arithmetic, and both symbolic values
+    the defining chains in exact rational arithmetic, and both symbolic values
     evaluated at the point.  A point hitting a vanishing q-integer is skipped.
     """
     report = VerificationReport()  # the first record also carries the symbolic values

@@ -41,6 +41,13 @@ def test_compute_a(capsys):
     assert "den coeffs: ['1', '2', '1']" in out
 
 
+def test_compute_a_with_many_parts(capsys):
+    # 250 parts: a walk one frame per block boundary would overflow the recursion limit
+    code, out, _ = run_cli(capsys, "compute", "a", ",".join(["1"] * 250), "0")
+    assert code == 0
+    assert out.splitlines()[0] == "(1) / (1)"
+
+
 def test_compute_a_with_evaluation(capsys):
     code, out, _ = run_cli(capsys, "compute", "a", "1,1", "1", "--at", "2/3")
     assert code == 0

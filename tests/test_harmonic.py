@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,7 +98,7 @@ def _stack_depth() -> int:
 
 
 def test_no_recursion_as_deep_as_n():
-    # Chain recursions are as deep as the weight and q_factorial is a loop, so
+    # The c walk is a few calls deep and q_factorial is a loop, so
     # a few dozen frames of headroom suffice at n + k >= 40.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 30)
@@ -107,6 +110,18 @@ def test_no_recursion_as_deep_as_n():
     finally:
         sys.setrecursionlimit(limit)
     assert a.den.degree > 40 and b.den.degree > 40 and c.den.degree > 40
+
+
+def test_no_recursion_as_deep_as_the_weight():
+    # _c_value fills the suffixes of its walk shortest first, so 300 one-parts
+    # return under the default recursion limit; a fresh interpreter starts
+    # with that limit and an empty memo.
+    code = "from qharmonic.harmonic import a_value\nprint(a_value((1,) * 300, 0))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0, out.stderr[-500:]
+    assert out.stdout.strip() == "(1) / (1)"
 
 
 def _clear_c_tables():

@@ -1,6 +1,7 @@
 """One recursion per chain family: no module-level function in the program
 calls itself by name, except ``harmonic._c_suffix``, the memoized walk of the
-c family, whose depth grows with the weight and not with n or k."""
+c family, whose depth is bounded: ``_c_value`` fills its suffixes shortest
+first, so a call finds the next suffix in the memo."""
 
 from __future__ import annotations
 
