@@ -6,7 +6,9 @@ polynomials, no polynomial gcd).  With q0 = p/s, s > 0, each q-integer is
 [j]_q = I_j / s^(j-1) for an integer I_j, so every chain term is a quotient of
 integers; a sum is held as one integer numerator over the running lcm of the
 term denominators, and a single Fraction is built per value.  Gaussian
-binomials are built from the Pascal-type recurrence over Fractions.
+binomials come from the Pascal-type recurrence over Fractions, one row
+[n choose 0..k]_q per call: the closed difference reads all its binomials from
+one row, and c_at its prefactor.
 
 A q-integer that vanishes at the chosen point (possible at roots of unity)
 makes a needed denominator zero; that raises PoleError so callers can report
@@ -28,11 +30,17 @@ def q_binomial_at(n: int, k: int, q0: Fraction) -> Fraction:
     _require_nonnegative(n=n, k=k)
     if k > n:
         raise ValueError(f"binomial index k={k} out of range for n={n}")
+    return _q_binomial_row(n, k, q0)[k]
+
+
+def _q_binomial_row(n: int, k: int, q0: Fraction) -> list[Fraction]:
+    # [n choose j]_q at q0 for j = 0..k <= n, by the Pascal-type recurrence
+    powers = [q0 ** j for j in range(k + 1)]
     row = [Fraction(1)] + [Fraction(0)] * k
     for i in range(1, n + 1):
         for j in range(min(i, k), 0, -1):
-            row[j] = row[j - 1] + row[j] * q0 ** j
-    return row[k]
+            row[j] = row[j - 1] + row[j] * powers[j]
+    return row
 
 
 def _require_nonnegative(**values: int) -> None:
@@ -144,7 +152,7 @@ def c_at(mu: Sequence[int], nu: Sequence[int], n: int, k: int, q0: Scalar) -> Fr
     j_labels: list[int] = []
     for label, size in enumerate(nu):
         j_labels.extend([label] * size)
-    pref = q_binomial_at(n + k, n, q0)
+    pref = _q_binomial_row(n + k, n, q0)[n]
     if pref == 0:
         raise PoleError(f"[{n + k} choose {n}]_q vanishes at q = {q0}")
     p, s = q0.numerator, q0.denominator
@@ -174,7 +182,7 @@ def delta_closed_a_at(mu: Sequence[int], n: int, k: int, q0: Scalar) -> Fraction
     _require_nonnegative(n=n, k=k)
     q0 = Fraction(q0)
     total = Fraction(0)
-    for i in range(k + 1):
+    for i, binomial in enumerate(_q_binomial_row(k, k, q0)):
         sign = -1 if i & 1 else 1
-        total += sign * q0 ** (i * (i + 1) // 2) * q_binomial_at(k, i, q0) * a_at(mu, n + i, q0)
+        total += sign * q0 ** (i * (i + 1) // 2) * binomial * a_at(mu, n + i, q0)
     return total

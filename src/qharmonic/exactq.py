@@ -19,7 +19,9 @@ generic part times a vector.  The q-constants produce vectors from their
 closed forms, [n]_q the product of Phi_d over the divisors d > 1 of n and
 [n choose k]_q that of Phi_d^(n//d - k//d - (n-k)//d), and coefficient lists
 are built from vectors only where needed: output, hashing and a sum's
-numerator.
+numerator.  A vector's product is built once, through its binomial form
+Phi_k = prod (q^d - 1)^mu(k/d), and kept in one bounded table keyed by the
+vector, ``_phi_product``; Phi_k itself is its one-factor entry.
 
 Values combine by Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2,
 4.5.1), reading n, d, p, r and e directly: a product n1 n2 / d1 d2 cancels
@@ -349,10 +351,9 @@ def _int_gcd(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int], 
 # A vector {k: m} with every m > 0 stands for the product of Phi_k^m; the empty
 # vector is 1.  Vectors are never mutated once built, so values share them.
 
-@functools.cache
-def _cyclotomic(k: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """(Phi_k, {d: mu(k/d)}): Phi_k is the product of (q^d - 1)^mu(k/d) over the
-    divisors d of k with k/d squarefree."""
+def _phi_binomials(k: int) -> dict[int, int]:
+    # {d: mu(k/d)}: Phi_k is the product of (q^d - 1)^mu(k/d) over the divisors
+    # d of k with k/d squarefree
     binomials, rest, p = {k: 1}, k, 2
     while rest > 1:
         if not rest % p:
@@ -360,7 +361,20 @@ def _cyclotomic(k: int) -> tuple[tuple[int, ...], dict[int, int]]:
             while not rest % p:
                 rest //= p
         p += 1
-    return tuple(_binomial_product([1], binomials)), binomials
+    return binomials
+
+
+@functools.lru_cache(maxsize=4096)
+def _phi_product(key: frozenset[tuple[int, int]]) -> tuple[int, ...]:
+    """The coefficients of the product of Phi_k^m over the vector key, given as
+    frozenset(v.items()) so that it does not depend on insertion order: its
+    binomial form, the exponents of the q^d - 1, built on a miss only.  Phi_k
+    is the entry of {(k, 1)}.  The bound holds every campaign measured."""
+    exps: dict[int, int] = {}
+    for k, m in key:
+        for d, mu in _phi_binomials(k).items():
+            exps[d] = exps.get(d, 0) + mu * m
+    return tuple(_binomial_product([1], exps))
 
 
 def _binomial_product(a: list[int], exps: dict[int, int]) -> list[int]:
@@ -378,15 +392,6 @@ def _binomial_product(a: list[int], exps: dict[int, int]) -> list[int]:
                 b[j::d] = [-c for c in accumulate(a[j:len(b):d])]
             a = b
     return a
-
-
-def _binomial_exponents(v: dict[int, int]) -> dict[int, int]:
-    # the vector v as exponents of the binomials q^d - 1
-    exps: dict[int, int] = {}
-    for k, m in v.items():
-        for d, mu in _cyclotomic(k)[1].items():
-            exps[d] = exps.get(d, 0) + mu * m
-    return exps
 
 
 def _phi_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -437,7 +442,7 @@ def _phi_cancel(t: Sequence[int], v: dict[int, int]) -> tuple[Sequence[int], dic
     # Phi_k^j, j <= v[k]: gcd(t, product of v) by trial division
     h = {}
     for k, m in v.items():
-        phi, j = _cyclotomic(k)[0], 0
+        phi, j = _phi_product(frozenset(((k, 1),))), 0
         while j < m and _phi_divides(t, k, phi):
             t, j = _int_divide(t, phi), j + 1
         if j:
@@ -477,10 +482,9 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     return b if len(a) == 1 else a if len(b) == 1 else _int_mul(a, b)
 
 
-def _times_phi(n: Sequence[int], v: dict[int, int]) -> Sequence[int]:
-    # the coefficients of n times the product of v, through the binomial form at
-    # O(len) per binomial
-    return _binomial_product(list(n), _binomial_exponents(v))
+def _times_phi(n: Sequence[int], v: dict[int, int]) -> tuple[int, ...]:
+    # the coefficients of n times the product of v, read from the table
+    return tuple(_mul(n, _phi_product(frozenset(v.items()))))
 
 
 def _require_index(low: int | None, **values: object) -> None:
@@ -554,7 +558,7 @@ class QRat:
         if not self._nv:
             return self._n
         if self._nc is None:
-            self._nc = tuple(_times_phi(self._n, self._nv))
+            self._nc = _times_phi(self._n, self._nv)
         return self._nc
 
     def _dcoeffs(self) -> tuple[int, ...]:
@@ -562,7 +566,7 @@ class QRat:
         if not self._dv:
             return self._d
         if self._dc is None:
-            self._dc = tuple(_times_phi(self._d, self._dv))
+            self._dc = _times_phi(self._d, self._dv)
         return self._dc
 
     @property

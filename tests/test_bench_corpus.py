@@ -16,7 +16,7 @@ CORPUS = BENCH / "corpus.py"
 WORKLOADS = BENCH / "workloads.py"
 
 # every process-global memo table: the benchmark builds its corpus in a cold process
-MEMO_TABLES = (exactq.q_integer, exactq._cyclotomic, exactq.q_binomial, exactq.q_power,
+MEMO_TABLES = (exactq.q_integer, exactq._phi_product, exactq.q_binomial, exactq.q_power,
                harmonic._c_suffix, harmonic._c_value)
 
 

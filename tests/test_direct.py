@@ -213,3 +213,17 @@ def test_pole_outcomes_match_the_fraction_loops():
     assert all(new == ref for new, ref in outcomes)
     poles = sum(new[0] == "pole" for new, _ in outcomes)
     assert 0 < poles < len(outcomes)
+
+
+@pytest.mark.parametrize("q0", [Fraction(0), Fraction(-1), Fraction(2, 3), Fraction(5),
+                                Fraction(-2)], ids=str)
+def test_binomial_row_matches_q_binomial_at(q0):
+    # the closed difference reads [k choose i]_q for every i from one row, and
+    # each entry is the binomial q_binomial_at builds on its own
+    for k in range(9):
+        row = direct._q_binomial_row(k, k, q0)
+        assert row == [direct.q_binomial_at(k, i, q0) for i in range(k + 1)], k
+        for mu in ((2,), (1, 2)):
+            args = (mu, 0, k, q0)
+            assert _outcome(direct.delta_closed_a_at, args) == _outcome(_ref_delta_closed_a,
+                                                                         args), args

@@ -412,10 +412,32 @@ def _random_fracs(rng, max_len=7):
                       for _ in range(rng.randint(0, max_len)))
 
 
+_REF_CYCLOTOMIC = {}
+
+
+def _ref_cyclotomic(k):
+    # Phi_k over Z, built apart from the engine: q^k - 1 divided by Phi_d for
+    # each divisor d < k of k, by long division, each quotient checked exact
+    if k not in _REF_CYCLOTOMIC:
+        a = [-1] + [0] * (k - 1) + [1]
+        for d in range(1, k):
+            if not k % d:
+                b = _ref_cyclotomic(d)
+                quotient = [0] * (len(a) - len(b) + 1)
+                for shift in range(len(quotient) - 1, -1, -1):
+                    quotient[shift] = a[shift + len(b) - 1]  # each Phi_d is monic
+                    for i, c in enumerate(b):
+                        a[shift + i] -= quotient[shift] * c
+                assert not any(a), (k, d)
+                a = quotient
+        _REF_CYCLOTOMIC[k] = tuple(a)
+    return _REF_CYCLOTOMIC[k]
+
+
 def _ref_phi(v):
-    # the product of Phi_k^m over a cyclotomic vector {k: m}, by schoolbook products
-    # over Z of the table's Phi_k, which test_cyclotomic_table checks on its own
-    return tuple(reduce(_int_mul, (exactq._cyclotomic(k)[0] for k, m in v.items()
+    # the product of Phi_k^m over a cyclotomic vector {k: m}, by schoolbook
+    # products over Z of the Phi_k of _ref_cyclotomic
+    return tuple(reduce(_int_mul, (_ref_cyclotomic(k) for k, m in v.items()
                                    for _ in range(m)), (1,)))
 
 
@@ -889,21 +911,26 @@ def test_q_power_rejects_non_integer_exponent():
 # --- cyclotomic factored form -------------------------------------------------
 
 
+def _table_phi(k):
+    # Phi_k as the engine reads it: the one-factor entry of the table of products
+    return exactq._phi_product(frozenset({(k, 1)}))
+
+
 def test_cyclotomic_table():
     # the product of Phi_d over the divisors d of k is q^k - 1, which fixes each
     # Phi_k in turn, and its binomial form multiplies back to it
     for k in range(1, 61):
         divisors = [d for d in range(1, k + 1) if not k % d]
-        product = reduce(_ref_mul, (exactq._cyclotomic(d)[0] for d in divisors), (Fraction(1),))
+        product = reduce(_ref_mul, (_table_phi(d) for d in divisors), (Fraction(1),))
         assert product == _ref_strip((-1,) + (0,) * (k - 1) + (1,)), k
-        phi, binomials = exactq._cyclotomic(k)
+        phi, binomials = _table_phi(k), exactq._phi_binomials(k)
         up, down = ((reduce(_ref_mul, ((-1,) + (0,) * (d - 1) + (1,)
                                        for d, mu in binomials.items() if mu == sign), (1,)))
                     for sign in (1, -1))
         assert _ref_mul(phi, down) == _ref_strip(up), k
-    # coefficient lists of vectors, short and long, through the binomial form
-    # against schoolbook products
-    assert exactq._times_phi((2, 1), {}) == [2, 1]
+    # coefficient lists of generic parts times vectors, short and long, read
+    # from the table, against schoolbook products
+    assert list(exactq._times_phi((2, 1), {})) == [2, 1]
     rng = random.Random(53)
     for _ in range(40):
         v = {k: rng.randint(1, 3) for k in rng.sample(range(1, 40), rng.randint(1, 8))}
@@ -911,9 +938,30 @@ def test_cyclotomic_table():
         assert list(exactq._times_phi(n, v)) == _int_mul(n, _ref_phi(v)), v
 
 
+def test_phi_product_table_against_schoolbook_products():
+    # every entry of the table of cyclotomic products is the schoolbook product
+    # of Phi_k built apart from the engine
+    rng = random.Random(67)
+    vectors = [{k: rng.randint(1, 3) for k in rng.sample(range(1, 40), rng.randint(1, 8))}
+               for _ in range(60)]
+    for v in vectors:
+        entry = exactq._phi_product(frozenset(v.items()))
+        assert type(entry) is tuple and entry == _ref_phi(v), v
+    # one vector built in two insertion orders is one entry
+    forwards = {1: 3, 5: 1, 12: 2, 30: 1}
+    backwards = dict(reversed(forwards.items()))
+    assert list(forwards) != list(backwards)
+    first = exactq._times_phi((1,), forwards)
+    info = exactq._phi_product.cache_info()
+    assert exactq._times_phi((1,), backwards) is first
+    after = exactq._phi_product.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (info.hits + 1, info.misses,
+                                                          info.currsize)
+
+
 def test_cyclotomic_table_is_built_lazily():
     code = ("import qharmonic.cli\nfrom qharmonic import exactq\n"
-            "print(exactq._cyclotomic.cache_info().currsize)")
+            "print(exactq._phi_product.cache_info().currsize)")
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from qharmonic import exactq
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qharmonic"
 
-# q_integer, _cyclotomic, q_binomial, q_power, _c_suffix and _c_value.
+# q_integer, _phi_product (the table of cyclotomic products, the bounded one),
+# q_binomial, q_power, _c_suffix and _c_value.
 MAX_GLOBAL_TABLES = 6
 
 _CACHES = ("cache", "lru_cache")
@@ -64,3 +67,9 @@ def test_global_memo_tables_do_not_grow():
     found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
              for name in global_tables(path.read_text(encoding="utf-8"))}
     assert len(found) <= MAX_GLOBAL_TABLES, sorted(found)
+
+
+def test_cyclotomic_table_is_bounded():
+    # past a fixed size the table of cyclotomic products drops its least recently used
+    maxsize = exactq._phi_product.cache_info().maxsize
+    assert isinstance(maxsize, int) and 0 < maxsize < 10 ** 6
