@@ -18,10 +18,10 @@ its exponent vector {k: m}, and numerator and denominator are stored alike: a
 generic part times a vector.  The q-constants produce vectors from their
 closed forms, [n]_q the product of Phi_d over the divisors d > 1 of n and
 [n choose k]_q that of Phi_d^(n//d - k//d - (n-k)//d), and coefficient lists
-are built from vectors only where needed: output, hashing and a sum's
-numerator.  A vector's product is built once, through its binomial form
-Phi_k = prod (q^d - 1)^mu(k/d), and kept in one bounded table keyed by the
-vector, ``_phi_product``; Phi_k itself is its one-factor entry.
+are built on request only: output, hashing and a sum's numerator.  A vector's
+product is built once, by its binomial form Phi_k = prod (q^d - 1)^mu(k/d),
+and kept in ``_phi_product``, a bounded table keyed by the vector and the only
+store of coefficient lists, as values keep none; Phi_k is its one-factor entry.
 
 Values combine by Henrici's algorithms (JACM 3, 1956; Knuth, TAOCP vol. 2,
 4.5.1), reading n, d, p, r and e directly: a product n1 n2 / d1 d2 cancels
@@ -482,9 +482,9 @@ def _mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     return b if len(a) == 1 else a if len(b) == 1 else _int_mul(a, b)
 
 
-def _times_phi(n: Sequence[int], v: dict[int, int]) -> tuple[int, ...]:
-    # the coefficients of n times the product of v, read from the table
-    return tuple(_mul(n, _phi_product(frozenset(v.items()))))
+def _times_phi(n: Sequence[int], v: dict[int, int]) -> Sequence[int]:
+    # the coefficients of n times the product of v, read from the table; n when v is empty
+    return tuple(_mul(n, _phi_product(frozenset(v.items())))) if v else n
 
 
 def _require_index(low: int | None, **values: object) -> None:
@@ -506,7 +506,7 @@ def q_integer(n: int) -> QPoly:
     if not n:
         return QPoly()
     nv = {d: 1 for d in range(2, n + 1) if not n % d}
-    return _wrap(_canonical((1,), (1,), 1, 1, 0, nv, nc=(1,) * n))
+    return _wrap(_canonical((1,), (1,), 1, 1, 0, nv))
 
 
 def q_factorial(n: int) -> QPoly:
@@ -534,51 +534,39 @@ class QRat:
     coefficients and nonzero constant terms, r > 0, gcd(p, r) = 1 and e is an
     integer.  Both are held alike: n as ``_n`` times the product of the
     cyclotomic vector ``_nv``, d as ``_d`` times that of ``_dv``, the part not
-    known to be cyclotomic, a tuple, and the part that is; their coefficient
-    tuples ``_nc`` and ``_dc`` are kept once built.  Zero has n = (), d = (1,)
-    and p = e = 0, a unit (a scalar times q^e) n = d = (1,) and empty vectors.
-    The form is unique up to how n and d split, so equality and hashing read
-    the coefficients wherever the splits differ.  The monic-denominator pair
+    known to be cyclotomic, a tuple, and the part that is; no read writes to
+    these seven fields.  Zero has n = (), d = (1,) and p = e = 0, a unit (a
+    scalar times q^e) n = d = (1,) and empty vectors.  The form is unique up
+    to how n and d split, so equality and hashing build the coefficients
+    wherever the splits differ.  The monic-denominator pair
     ``num``/``den`` is built on each request, for output only: the power q^e
     goes to ``num`` when e > 0 and to ``den`` when e < 0.
     """
 
-    __slots__ = ("_n", "_nv", "_nc", "_d", "_dv", "_dc", "_p", "_r", "_e")
+    __slots__ = ("_n", "_nv", "_d", "_dv", "_p", "_r", "_e")
 
     def __init__(self, num: QRat | QPoly | Scalar, den: QRat | QPoly | Scalar = 1) -> None:
         """num / den for any two elements of Q(q): Henrici's product of num with
         the inverse of den, the one reduction path."""
         x = _require_rat(num) / _require_rat(den)
-        self._n, self._nv, self._nc, self._d, self._dv, self._dc = (x._n, x._nv, x._nc,
-                                                                    x._d, x._dv, x._dc)
+        self._n, self._nv, self._d, self._dv = x._n, x._nv, x._d, x._dv
         self._p, self._r, self._e = x._p, x._r, x._e
 
     def _ncoeffs(self) -> tuple[int, ...]:
-        # the coefficients of n, kept once built
-        if not self._nv:
-            return self._n
-        if self._nc is None:
-            self._nc = _times_phi(self._n, self._nv)
-        return self._nc
+        return _times_phi(self._n, self._nv)
 
     def _dcoeffs(self) -> tuple[int, ...]:
-        # the coefficients of d, kept once built
-        if not self._dv:
-            return self._d
-        if self._dc is None:
-            self._dc = _times_phi(self._d, self._dv)
-        return self._dc
+        return _times_phi(self._d, self._dv)
 
     @property
     def num(self) -> QPoly:
         # the numerator over the monic den: x = (p / (r d[-1])) q^e n / (d / d[-1])
         return _wrap(_canonical(self._n, (1,), self._p, self._r * self._d[-1], max(self._e, 0),
-                                self._nv, nc=self._nc))
+                                self._nv))
 
     @property
     def den(self) -> QPoly:
-        return _wrap(_canonical(self._d, (1,), 1, self._d[-1], max(-self._e, 0), self._dv,
-                                nc=self._dc))
+        return _wrap(_canonical(self._d, (1,), 1, self._d[-1], max(-self._e, 0), self._dv))
 
     @property
     def is_zero(self) -> bool:
@@ -609,8 +597,7 @@ class QRat:
         return hash((n, d, self._p, self._r, 2 * self._e))
 
     def __neg__(self) -> QRat:
-        return _canonical(self._n, self._d, -self._p, self._r, self._e, self._nv, self._dv,
-                          self._nc, self._dc)
+        return _canonical(self._n, self._d, -self._p, self._r, self._e, self._nv, self._dv)
 
     def __add__(self, other: QRat | QPoly | Scalar) -> QRat:
         other = _coerce_rat(other)
@@ -621,7 +608,7 @@ class QRat:
         # Henrici: over the common denominator c1 c2 g, with g = gcd(d1, d2) and
         # c_i = d_i / g, only a factor of g can divide the sum's numerator t.
         g, gv, c1, c1v, c2, c2v = _gcd(self._d, self._dv, other._d, other._dv)
-        t, t_cont, e = _sum_numerator(self, other, _part(self, c1, c1v), _part(other, c2, c2v))
+        t, t_cont, e = _sum_numerator(self, other, _times_phi(c1, c1v), _times_phi(c2, c2v))
         _, _, t, _, g, gv = _gcd(t, {}, g, gv)
         return _canonical(t, _mul(_mul(c1, c2), g), t_cont, self._r * other._r, e, None,
                           _phi_add(_phi_add(c1v, c2v), gv))
@@ -649,10 +636,9 @@ class QRat:
         p, r, e = self._p * other._p, self._r * other._r, self._e + other._e
         # A unit (n = d = 1) changes only the scalar and the power of q.
         if self._n == self._d == (1,) and not self._nv and not self._dv:
-            return _canonical(other._n, other._d, p, r, e, other._nv, other._dv, other._nc,
-                              other._dc)
+            return _canonical(other._n, other._d, p, r, e, other._nv, other._dv)
         if other._n == other._d == (1,) and not other._nv and not other._dv:
-            return _canonical(self._n, self._d, p, r, e, self._nv, self._dv, self._nc, self._dc)
+            return _canonical(self._n, self._d, p, r, e, self._nv, self._dv)
         # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and gcd(n2, d1)
         # can cancel from the product.
         _, _, n1, nv1, d2, dv2 = _gcd(self._n, self._nv, other._d, other._dv)
@@ -711,14 +697,7 @@ class QRat:
 
 def _inverse(x: QRat) -> QRat:
     # 1/x for nonzero x: n and d trade places
-    return _canonical(x._d, x._n, x._r, x._p, -x._e, x._dv, x._nv, x._dc, x._nc)
-
-
-def _part(x: QRat, c: Sequence[int], cv: dict[int, int]) -> Sequence[int]:
-    # the coefficients of c Phi^cv, a factor of x's denominator, read from x when whole
-    if not cv:
-        return c
-    return x._dcoeffs() if c is x._d and cv is x._dv else _times_phi(c, cv)
+    return _canonical(x._d, x._n, x._r, x._p, -x._e, x._dv, x._nv)
 
 
 def _sum_numerator(x: QRat, y: QRat, c1: Sequence[int], c2: Sequence[int]):
@@ -743,23 +722,22 @@ def _sum_numerator(x: QRat, y: QRat, c1: Sequence[int], c2: Sequence[int]):
 
 
 def _canonical(n: Sequence[int], d: Sequence[int], p: int, r: int, e: int,
-               nv: dict[int, int] | None = None, dv: dict[int, int] | None = None,
-               nc: tuple[int, ...] | None = None, dc: tuple[int, ...] | None = None) -> QRat:
+               nv: dict[int, int] | None = None, dv: dict[int, int] | None = None) -> QRat:
     # (p/r) * q^e * n Phi^nv / d Phi^dv for coprime primitive numerator and
-    # denominator with positive leads, d(0) != 0 and r != 0, and nc and dc their
-    # coefficients where known: the low zeros of n move into e, and then only
-    # the sign and the gcd of the scalar are left to fix.
+    # denominator with positive leads, d(0) != 0 and r != 0: the low zeros of n
+    # move into e, and then only the sign and the gcd of the scalar are left to
+    # fix.
     out = object.__new__(QRat)
     if not p:
-        out._n, out._nv, out._nc, out._d, out._dv, out._dc = (), {}, None, (1,), {}, None
+        out._n, out._nv, out._d, out._dv = (), {}, (1,), {}
         out._p, out._r, out._e = 0, 1, 0
         return out
     if not n[0]:
         k = next(i for i, c in enumerate(n) if c)
         n, e = n[k:], e + k
     g = math.gcd(p, r) if r > 0 else -math.gcd(p, r)
-    out._n, out._nv, out._nc = tuple(n), {} if nv is None else nv, nc
-    out._d, out._dv, out._dc = tuple(d), {} if dv is None else dv, dc
+    out._n, out._nv = tuple(n), {} if nv is None else nv
+    out._d, out._dv = tuple(d), {} if dv is None else dv
     out._p, out._r, out._e = p // g, r // g, e
     return out
 
