@@ -15,6 +15,7 @@ byte-identical across parallelism levels once timing fields are stripped.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -107,6 +108,8 @@ class CampaignConfig(NamedTuple):
         for p in self.eval_points:
             if p in (0, 1):
                 raise ValueError("eval points must avoid q = 0 and q = 1")
+        if self.parallelism > 1 and not hasattr(os, "fork"):
+            raise ValueError("parallelism > 1 needs os.fork, which this platform lacks")
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "identities": list(self.identities),
@@ -551,27 +554,79 @@ def _run_task(task: tuple) -> list[Record]:
     return driver(*args).records
 
 
+def _run_forked(tasks: list[tuple], workers: int) -> list[list[Record]]:
+    # Worker w runs tasks w, w + workers, w + 2 workers, ...: the calling process
+    # is worker 0 and a forked child each of the others. Strides, unlike
+    # contiguous blocks, split the default campaign's costly families evenly. A
+    # child sends one pickled ("ok", records of each task, "") or ("error",
+    # exception, traceback text) down its own pipe and always leaves through
+    # os._exit, so no inherited stdio buffer or exit hook runs twice.
+    import pickle  # loaded only for a pool
+    import signal
+
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if not pid:
+                try:
+                    try:
+                        records = [_run_task(task) for task in tasks[w::workers]]
+                        data = pickle.dumps(("ok", records, ""))
+                    except Exception as exc:
+                        import traceback
+
+                        trace = traceback.format_exc()
+                        try:
+                            data = pickle.dumps(("error", exc, trace))
+                            pickle.loads(data)  # some exceptions pickle but do not unpickle
+                        except Exception:
+                            data = pickle.dumps(("error", RuntimeError(repr(exc)), trace))
+                    with open(wfd, "wb") as out:
+                        out.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wfd)
+            children.append((pid, open(rfd, "rb")))
+        per_task = [None] * len(tasks)
+        per_task[::workers] = [_run_task(task) for task in tasks[::workers]]
+        for w in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status or not data:
+                raise RuntimeError(f"campaign worker {w} ended without a result "
+                                   f"(exit status {status})")
+            kind, payload, trace = pickle.loads(data)
+            if kind == "error":
+                raise payload from RuntimeError(f"in campaign worker {w}:\n{trace}")
+            per_task[w::workers] = payload
+        return per_task
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
     """Enumerate every selected instance family, in a deterministic order.
 
-    With parallelism > 1 the independent tasks run in a process pool of at
-    most one worker per task; the aggregator preserves task order, so the
-    report content does not depend on the parallelism level.
+    With parallelism > 1 the tasks are dealt round-robin to
+    min(parallelism, len(tasks)) workers: the calling process is the first and
+    a child made by os.fork each of the others, and the records are joined in
+    task order, so the report content does not depend on the parallelism level.
     """
     config = config or CampaignConfig()
     config.validate()
     tasks = [task for tokens, build in FAMILIES
              if set(tokens) & set(config.identities) for task in build(config)]
     report = VerificationReport(config=config)
-    # the pool starts all its workers at once, so it gets no more than the tasks
     workers = min(config.parallelism, len(tasks))
-    if workers <= 1:
-        for task in tasks:
-            report.records.extend(_run_task(task))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for records in pool.map(_run_task, tasks):
-                report.records.extend(records)
+    for records in _run_forked(tasks, workers) if workers > 1 else map(_run_task, tasks):
+        report.records.extend(records)
     return report

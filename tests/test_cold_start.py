@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: the CLI, a config parse, serial campaigns
-and a one-shot command never import the process pool or `dataclasses`."""
+"""What a fresh interpreter loads: the CLI, a config parse, serial and pooled
+campaigns and a one-shot command never import `concurrent.futures`,
+`multiprocessing` or `dataclasses`."""
 
 from __future__ import annotations
 
@@ -16,12 +17,16 @@ import sys
 before = set(sys.modules)
 from qharmonic import cli
 from qharmonic.verify import parse_config_text, run_campaign
+# printed before the pool forks, so a child that flushed its copy of the
+# stdout buffer would print it twice
+assert cli.main(["dual", "2,1"]) == 0
 serial = parse_config_text("max_weight = 2\\nmax_n = 1\\nmax_k = 1\\nidentities = duality, main\\n")
 # a pool is asked for, but one task needs none
 single = parse_config_text("max_n = 1\\nmax_k = 1\\nidentities = cor250\\nparallelism = 2\\n")
-for config in (serial, single):
+# three tasks in two workers: the pool forks its own
+pooled = parse_config_text("max_weight = 2\\nmax_k = 1\\nidentities = duality\\nparallelism = 2\\n")
+for config in (serial, single, pooled):
     assert run_campaign(config).all_passed
-assert cli.main(["dual", "2,1"]) == 0
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
+import os
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -444,36 +445,29 @@ class TestCampaign:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
-        # a stand-in pool that records its size and maps in-process: no
-        # process is started, whatever parallelism asks for
-        sizes = []
+        # every fork goes through a wrapper around the real os.fork; the calling
+        # process is one of the workers, so w workers take w - 1 forks
+        forks = []
+        real_fork = os.fork
 
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        # run_campaign imports the pool class from its module inside the pool branch
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        for weight, ids, tasks in ((2, ("duality",), 3), (1, ("duality",), 1),
-                                   (1, ("prop340",), 0)):
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for weight, ids, tasks, made in ((2, ("duality",), 3, 2), (1, ("duality",), 1, 0),
+                                         (1, ("prop340",), 0, 0)):
+            forks.clear()
             cfg = CampaignConfig(max_weight=weight, max_n=1, max_k=1, series_max_weight=weight,
                                  identities=ids, parallelism=500)
             rep = run_campaign(cfg)
+            assert len(forks) == made
             assert rep.config.parallelism == 500 and rep.counts["fail"] == 0
             serial = run_campaign(cfg._replace(parallelism=1))
             assert [r.to_dict(include_timing=False) for r in rep.records] == [
                 r.to_dict(include_timing=False) for r in serial.records]
             assert bool(rep.records) == bool(tasks)
-        assert sizes == [3]
+        _assert_no_child_left()
 
     def test_repeat_run_byte_identical_modulo_timing(self):
         cfg = CampaignConfig(max_weight=2, max_n=1, max_k=1, series_orders=3,
@@ -491,6 +485,94 @@ class TestCampaign:
         assert rep.counts == {"total": 304, "pass": 304, "fail": 0, "skip": 0}
         digest = hashlib.sha256(rep.to_json(include_timing=False).encode()).hexdigest()
         assert digest == "2c487ac9bd77dabd402aeee1e730f28e5d2a2bce813304d7a8cd1e69cbf3cb13"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# duality at weight 2 has three tasks, so at parallelism 3 the calling process
+# runs one and each of two forked workers another
+FORKED = CampaignConfig(max_weight=2, max_n=1, max_k=1, identities=("duality",),
+                        parallelism=3)
+
+
+def _split_duality(monkeypatch, in_parent, in_child):
+    # verify_duality, with `in_parent` or `in_child` run first depending on
+    # whether the calling process or a forked worker runs it
+    parent = os.getpid()
+    real = verify.verify_duality
+
+    def driver(mu, k_max):
+        (in_parent if os.getpid() == parent else in_child)()
+        return real(mu, k_max)
+
+    monkeypatch.setattr(verify, "verify_duality", driver)
+
+
+class TwoArgError(Exception):
+    # pickles, but unpickling calls TwoArgError(a), without b
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+class TestForkedWorkers:
+    def test_worker_exception_is_raised_in_the_caller(self, monkeypatch):
+        def fail():
+            raise ValueError("bad task in a worker")
+
+        _split_duality(monkeypatch, lambda: None, fail)
+        with pytest.raises(ValueError, match="^bad task in a worker$") as caught:
+            run_campaign(FORKED)
+        # the child's traceback comes along as the cause
+        assert "in fail" in str(caught.value.__cause__)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["unpicklable", "not unpicklable"])
+    def test_worker_exception_that_does_not_travel_keeps_its_repr(self, monkeypatch, kind):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def fail():
+            raise (LocalError if kind == "unpicklable" else TwoArgError)("lost", "task")
+
+        _split_duality(monkeypatch, lambda: None, fail)
+        with pytest.raises(RuntimeError, match=r"Error\('lost'") as caught:
+            run_campaign(FORKED)
+        assert "in fail" in str(caught.value.__cause__)
+        _assert_no_child_left()
+
+    def test_worker_without_a_result_names_its_exit_status(self, monkeypatch):
+        _split_duality(monkeypatch, lambda: None, lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match=r"worker 1 .*exit status 3\)"):
+            run_campaign(FORKED)
+        _assert_no_child_left()
+
+    def test_callers_own_failure_reaps_its_workers(self, monkeypatch):
+        def fail():
+            raise KeyError("the caller's share")
+
+        _split_duality(monkeypatch, fail, lambda: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="the caller's share"):
+            run_campaign(FORKED)
+        # the sleeping workers were killed, not waited for
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_workers_report_in_task_order(self):
+        serial = run_campaign(FORKED._replace(parallelism=1))
+        rep = run_campaign(FORKED)
+        assert [r.to_dict(include_timing=False) for r in rep.records] == [
+            r.to_dict(include_timing=False) for r in serial.records]
+        _assert_no_child_left()
+
+    def test_no_fork_means_no_pool(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        FORKED._replace(parallelism=1).validate()
+        with pytest.raises(ValueError, match="parallelism > 1 needs os.fork"):
+            FORKED._replace(parallelism=2).validate()
 
 
 def test_enumeration_order_is_stable():
