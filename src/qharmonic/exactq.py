@@ -4,14 +4,14 @@ Provides reduced rational functions (``QRat``), dense polynomials over Q in
 the indeterminate q (``QPoly``), and the q-combinatorial primitives built on
 them: q-integers, q-factorials and Gaussian binomial coefficients.
 
-All values are immutable and kept in one canonical form, so structural
-equality decides equality in Q(q).  A rational function is stored in Laurent
-form (p/r) * q^e * n/d: n and d coprime primitive integer polynomials with
-positive leading coefficients and nonzero constant terms, the scalar p/r in
-lowest terms with r > 0, and the power of q an integer exponent e.  A
-polynomial is the ``QRat`` it equals, with d = 1 and e >= 0, under a thin
-wrapper that keeps results polynomial.  The monic-denominator form
-``num``/``den`` is built from that only for output.
+All values are immutable.  A rational function is stored in Laurent form
+(p/r) * q^e * n/d: n and d coprime primitive integer polynomials with positive
+leading coefficients and nonzero constant terms, p/r in lowest terms with
+r > 0, and e an integer.  That form is unique up to how n and d split into a
+generic part and a cyclotomic vector (below), so equality compares the stored
+fields where the splits agree and coefficient lists where they differ.  A
+polynomial is the ``QRat`` it equals, with d = 1 and e >= 0, in a thin wrapper
+that keeps results polynomial; the monic ``num``/``den`` are for output only.
 
 A factor known to be a product of cyclotomic polynomials Phi_k is carried as
 its exponent vector {k: m}, and numerator and denominator are stored alike: a

@@ -50,19 +50,14 @@ from .multiindex import MultiIndex
 class QSeq:
     """A sequence of canonical QRat values with memoized evaluation."""
 
-    __slots__ = ("_fn", "_cache")
+    __slots__ = ("_value",)
 
     def __init__(self, fn: Callable[[int], QRat]) -> None:
-        self._fn = fn
-        self._cache: dict[int, QRat] = {}
+        self._value = functools.cache(lambda n: _require_rat(fn(n)))
 
     def __call__(self, n: int) -> QRat:
         _require_index(0, n=n)
-        hit = self._cache.get(n)
-        if hit is None:
-            hit = _require_rat(self._fn(n))
-            self._cache[n] = hit
-        return hit
+        return self._value(n)
 
     @classmethod
     def from_values(cls, values, tail: QRat | Scalar = 0) -> QSeq:

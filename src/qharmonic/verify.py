@@ -161,15 +161,10 @@ class Record(NamedTuple):
     wall_ms: float = 0.0
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "identity": self.identity,
-            "params": self.params,
-            "status": self.status,
-            "witness": self.witness,
-            "valid_region": self.valid_region,
-        }
+        out = self._asdict()
+        wall_ms = out.pop("wall_ms")
         if include_timing:
-            out["wall_ms"] = round(self.wall_ms, 3)
+            out["wall_ms"] = round(wall_ms, 3)
         return out
 
 
@@ -554,19 +549,19 @@ def _run_task(task: tuple) -> list[Record]:
     return driver(*args).records
 
 
-def _run_forked(tasks: list[tuple], workers: int) -> list[list[Record]]:
+def _run_tasks(tasks: list[tuple], workers: int) -> list[list[Record]]:
     # Worker w runs tasks w, w + workers, w + 2 workers, ...: the calling process
-    # is worker 0 and a forked child each of the others. Strides, unlike
-    # contiguous blocks, split the default campaign's costly families evenly. A
-    # child sends one pickled ("ok", records of each task, "") or ("error",
-    # exception, traceback text) down its own pipe and always leaves through
-    # os._exit, so no inherited stdio buffer or exit hook runs twice.
-    import pickle  # loaded only for a pool
-    import signal
-
+    # is worker 0 and a forked child each of the others, so one worker forks
+    # nothing. Strides, unlike contiguous blocks, split the default campaign's
+    # costly families evenly. A child sends one pickled ("ok", records of each
+    # task, "") or ("error", exception, traceback text) down its own pipe and
+    # always leaves through os._exit, so no inherited stdio buffer or exit hook
+    # runs twice.
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for w in range(1, workers):
+            import pickle  # loaded only when a worker is forked
+
             rfd, wfd = os.pipe()
             pid = os.fork()
             if not pid:
@@ -608,6 +603,8 @@ def _run_forked(tasks: list[tuple], workers: int) -> list[list[Record]]:
         return per_task
     finally:
         for pid, pipe in children:
+            import signal
+
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -616,17 +613,16 @@ def _run_forked(tasks: list[tuple], workers: int) -> list[list[Record]]:
 def run_campaign(config: CampaignConfig | None = None) -> VerificationReport:
     """Enumerate every selected instance family, in a deterministic order.
 
-    With parallelism > 1 the tasks are dealt round-robin to
-    min(parallelism, len(tasks)) workers: the calling process is the first and
-    a child made by os.fork each of the others, and the records are joined in
-    task order, so the report content does not depend on the parallelism level.
+    The tasks are dealt round-robin to max(1, min(parallelism, len(tasks)))
+    workers, the calling process first and a child made by os.fork each of the
+    others; one runner joins the records in task order at every parallelism
+    level, so the report content does not depend on it.
     """
     config = config or CampaignConfig()
     config.validate()
     tasks = [task for tokens, build in FAMILIES
              if set(tokens) & set(config.identities) for task in build(config)]
     report = VerificationReport(config=config)
-    workers = min(config.parallelism, len(tasks))
-    for records in _run_forked(tasks, workers) if workers > 1 else map(_run_task, tasks):
+    for records in _run_tasks(tasks, max(1, min(config.parallelism, len(tasks)))):
         report.records.extend(records)
     return report

@@ -1,8 +1,9 @@
-"""The benchmark's kernel corpus must find the calls it samples, and its campaign
-workloads must stay on the factored path."""
+"""The benchmark's kernel corpus must find the calls it samples, its campaign
+workloads must stay on the factored path, and their reports must not change."""
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import types
 from pathlib import Path
@@ -92,3 +93,28 @@ def test_campaign_workload_builds_no_polynomial_sums(monkeypatch, name):
     report = verify.run_campaign(config)
     assert report.records and report.all_passed
     assert calls == []
+
+
+@pytest.mark.parametrize("name, parallelism, digest", [
+    ("grid-w5", 1, "123232b3ae4bc5f9"),
+    ("series-ops", 1, "0bcb18efd5d6732a"),
+    ("pairs-par2", 1, "eaa60b7cbb11c3cf"),
+    ("pairs-par2", 2, "0368467669933d87"),
+    (None, 1, "728aa47f2ef793bc"),
+    (None, 2, "a001aa8ef9654681"),
+])
+def test_campaign_workload_report_digest(monkeypatch, name, parallelism, digest):
+    # The sha256 prefix of each workload's timing-free report, and of the
+    # default campaign's (name None), from cold tables: a change to the kernel,
+    # the tables or the runner must leave every one of them byte-identical.
+    if name is None:
+        config = verify.CampaignConfig(parallelism=parallelism)
+    else:
+        config = verify.parse_config_text(
+            _load_workloads(monkeypatch).config_text(name, parallelism))
+    for table in MEMO_TABLES:
+        table.cache_clear()
+    report = verify.run_campaign(config)
+    assert report.all_passed
+    text = report.to_json(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
